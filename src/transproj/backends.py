@@ -315,6 +315,8 @@ class TranslationCache:
         self.corrupt_lines: list[int] = []
         self._index: dict[tuple[str, str, str, str], str] = {}
         self._write_lock = threading.Lock()
+        # set by _load when a crash left the last line without its newline
+        self._torn_tail = False
         self._fh = open(path, "a+", encoding="utf-8")
         try:
             import fcntl
@@ -331,6 +333,7 @@ class TranslationCache:
     def _load(self):
         self._fh.seek(0)
         for line_no, line in enumerate(self._fh, start=1):
+            self._torn_tail = not line.endswith("\n")
             if not line.strip():
                 continue
             try:
@@ -366,6 +369,10 @@ class TranslationCache:
         }
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._write_lock:
+            if self._torn_tail:
+                # end the partial line, or this record would be glued onto it
+                line = "\n" + line
+                self._torn_tail = False
             self._fh.write(line)
             self._fh.flush()
             self._index[(backend_id, source_lang, target_lang, text)] = translation

@@ -8,9 +8,14 @@ CoNLL 2003, OntoNotes exports, WNUT, and NCBI-style files.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 
 DOCSTART = "-DOCSTART-"
+
+# Matches exactly the characters str.isspace() accepts (checked over every
+# code point on Python 3.11), so one search replaces a per-character scan.
+_WS = re.compile(r"\s")
 
 
 class ConllError(ValueError):
@@ -45,17 +50,21 @@ class Tag:
 
     @classmethod
     def parse(cls, raw: str, line_no: int | None = None) -> "Tag":
+        """The shared Tag for ``raw``; raises MalformedTag if it is not one."""
+        tag = _TAGS.get(raw)
+        if tag is not None:
+            return tag
         if raw == "O":
-            return cls("O", "O", None)
-        if len(raw) > 2 and raw[0] in ("B", "I") and raw[1] == "-":
-            label = raw[2:]
-            if label and not any(ch.isspace() for ch in label):
-                return cls(raw, raw[0], label)
-        raise MalformedTag(line_no, raw)
+            tag = cls("O", "O", None)
+        elif len(raw) > 2 and raw[0] in ("B", "I") and raw[1] == "-" and not _WS.search(raw, 2):
+            tag = cls(raw, raw[0], raw[2:])
+        else:
+            raise MalformedTag(line_no, raw)
+        return _TAGS.setdefault(raw, tag)
 
     @classmethod
     def outside(cls) -> "Tag":
-        return cls("O", "O", None)
+        return cls.parse("O")
 
     @classmethod
     def begin(cls, label: str) -> "Tag":
@@ -67,6 +76,12 @@ class Tag:
 
     def __str__(self) -> str:
         return self.raw
+
+
+# One Tag per distinct valid tag string seen in this process. Tags are
+# immutable and compare by value, so sharing them is invisible to callers;
+# malformed strings are never stored.
+_TAGS: dict[str, Tag] = {}
 
 
 @dataclass
@@ -84,9 +99,12 @@ class TaggedSentence:
             )
         if not self.tokens:
             raise InvalidSentence("sentence has no tokens")
-        for tok in self.tokens:
-            if not tok or any(ch.isspace() for ch in tok):
-                raise InvalidSentence(f"bad token {tok!r}")
+        # A whitespace character is in the joined text only if some token
+        # holds it; the per-token loop runs only to name the first bad one.
+        if "" in self.tokens or _WS.search("".join(self.tokens)):
+            for tok in self.tokens:
+                if not tok or _WS.search(tok):
+                    raise InvalidSentence(f"bad token {tok!r}")
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -2,9 +2,10 @@
 
 Per sentence: validate the tag scheme, extract spans, mask them with
 indexed placeholders, translate template and entity surfaces, check that
-the placeholder multiset survived, reinsert the translated entities, and
-re-check token/tag consistency. Any failing stage turns the sentence into
-an exclusion with a machine-readable reason instead of an error.
+the placeholder multiset survived, reinsert the translated entities,
+check that no placeholder syntax reached the output, and re-check the tag
+scheme. Any failing stage turns the sentence into an exclusion with a
+machine-readable reason instead of an error.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ REASON_EMPTY_ENTITY = "empty-entity-translation"
 REASON_INVALID_SCHEME = "invalid-scheme"
 REASON_TOKEN_TAG_MISMATCH = "token-tag-mismatch"
 REASON_BACKEND_FAILURE = "backend-failure"
+REASON_PLACEHOLDER_LEAK = "placeholder-leak"
 
 ALL_REASONS = (
     REASON_PATTERN_COLLISION,
@@ -43,6 +45,7 @@ ALL_REASONS = (
     REASON_INVALID_SCHEME,
     REASON_TOKEN_TAG_MISMATCH,
     REASON_BACKEND_FAILURE,
+    REASON_PLACEHOLDER_LEAK,
 )
 
 POLICY_LENIENT = "lenient"
@@ -167,7 +170,11 @@ def _finish(
         return ProjectionOutcome(origin, reason=REASON_COUNT_MISMATCH, detail=str(exc))
     except InvalidSentence as exc:
         return ProjectionOutcome(origin, reason=REASON_TOKEN_TAG_MISMATCH, detail=str(exc))
-    if len(out.tokens) != len(out.tags) or not out.tokens or validate_scheme(out):
+    # An entity translated into placeholder syntax, alone or together with a
+    # neighbouring template word, would reach the corpus as an entity token.
+    if ph.PLACEHOLDER_RE.search(" ".join(out.tokens)):
+        return ProjectionOutcome(origin, reason=REASON_PLACEHOLDER_LEAK, detail=template)
+    if validate_scheme(out):
         return ProjectionOutcome(origin, reason=REASON_TOKEN_TAG_MISMATCH,
                                  detail="post-translation consistency check failed")
     return ProjectionOutcome(origin, sentence=out)

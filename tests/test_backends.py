@@ -178,6 +178,21 @@ def test_cache_corrupt_line_is_skipped_but_rest_loads(tmp_path):
         assert cache.lookup("g", "en", "fa", "a") == "y"
 
 
+def test_cache_store_after_torn_tail_survives_reload(tmp_path):
+    path = tmp_path / "c.jsonl"
+    whole = json.dumps({"backend_id": "g", "source_lang": "en", "target_lang": "fa",
+                        "source_text": "x", "target_text": "y"})
+    # a crash mid-append leaves the last record cut off, with no newline
+    path.write_text(whole + "\n" + whole[:20], encoding="utf-8")
+    with TranslationCache(str(path)) as cache:
+        assert cache.corrupt_lines == [2]
+        cache.store("g", "en", "fa", "a", "b")
+    with TranslationCache(str(path)) as cache:
+        assert cache.lookup("g", "en", "fa", "a") == "b"
+        assert cache.lookup("g", "en", "fa", "x") == "y"
+        assert cache.corrupt_lines == [2]
+
+
 def test_cache_advisory_lock(tmp_path):
     path = str(tmp_path / "c.jsonl")
     with TranslationCache(path):

@@ -1,7 +1,8 @@
 import itertools
+import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from transproj.conll_io import (
@@ -55,6 +56,79 @@ def test_sentence_invariants():
         TaggedSentence(["a b"], [Tag.outside()])
     with pytest.raises(InvalidSentence):
         TaggedSentence([""], [Tag.outside()])
+
+
+# Characters where a whitespace check is easy to get wrong: U+00A0, U+2028
+# and U+3000 are whitespace, U+200B (zero-width space) is not.
+TRICKY_CHARS = st.sampled_from([" ", "\t", "\x1c", "\u00a0", "\u2028", "\u3000", "\u200b"])
+ANY_TEXT = st.text(st.one_of(st.characters(), TRICKY_CHARS), max_size=6)
+
+
+def is_valid_tag(raw):
+    """Reference for the tag grammar, written without the parser's shortcuts."""
+    if raw == "O":
+        return True
+    return (len(raw) > 2 and raw[0] in ("B", "I") and raw[1] == "-"
+            and not any(c.isspace() for c in raw[2:]))
+
+
+valid_raw_tags_st = st.one_of(
+    st.just("O"),
+    st.builds(lambda kind, label: f"{kind}-{label}", st.sampled_from(["B", "I"]),
+              ANY_TEXT.filter(lambda t: t and not any(c.isspace() for c in t))),
+)
+raw_tags_st = st.one_of(
+    ANY_TEXT,
+    st.builds(lambda kind, label: f"{kind}-{label}", st.sampled_from(["B", "I", "O", "b"]), ANY_TEXT),
+)
+
+
+@given(st.lists(ANY_TEXT, min_size=1, max_size=4))
+def test_sentence_rejects_exactly_empty_or_whitespace_tokens(tokens):
+    bad = [tok for tok in tokens if not tok or any(c.isspace() for c in tok)]
+    if not bad:
+        assert TaggedSentence(tokens, [Tag.outside()] * len(tokens)).tokens == tokens
+        return
+    with pytest.raises(InvalidSentence) as exc:
+        TaggedSentence(tokens, [Tag.outside()] * len(tokens))
+    assert str(exc.value) == f"bad token {bad[0]!r}"
+
+
+def test_sentence_whitespace_check_agrees_with_isspace_on_every_code_point():
+    chars = [chr(c) for c in range(sys.maxunicode + 1)]
+    spaces = [c for c in chars if c.isspace()]
+    others = "".join(c for c in chars if not c.isspace())
+    tokens = [others[i:i + 4096] for i in range(0, len(others), 4096)]
+    TaggedSentence(tokens, [Tag.outside()] * len(tokens))
+    for ch in spaces:
+        with pytest.raises(InvalidSentence):
+            TaggedSentence(["a" + ch], [Tag.outside()])
+        with pytest.raises(MalformedTag):
+            Tag.parse(f"B-a{ch}")
+
+
+@given(valid_raw_tags_st)
+def test_tag_parse_shares_one_tag_per_valid_string(raw):
+    assert is_valid_tag(raw)
+    fresh = Tag("O", "O", None) if raw == "O" else Tag(raw, raw[0], raw[2:])
+    assert Tag.parse(raw) is Tag.parse(raw)
+    assert Tag.parse(raw) == fresh
+    assert hash(Tag.parse(raw)) == hash(fresh)
+
+
+@given(raw_tags_st, st.integers(1, 10**6), st.integers(1, 10**6))
+def test_tag_parse_malformed_raises_with_its_own_line_every_time(raw, first, second):
+    assume(not is_valid_tag(raw))
+    for line_no in (first, second, None):
+        with pytest.raises(MalformedTag) as exc:
+            Tag.parse(raw, line_no)
+        assert (exc.value.line_no, exc.value.raw) == (line_no, raw)
+
+
+def test_tag_constructors_share_parsed_tags():
+    assert Tag.outside() is Tag.parse("O")
+    assert Tag.begin("PER") is Tag.parse("B-PER")
+    assert Tag.inside("PER") is Tag.parse("I-PER")
 
 
 def test_split_origin_must_ascend():

@@ -9,6 +9,7 @@ from transproj.pipeline import (
     REASON_EMPTY_ENTITY,
     REASON_INVALID_SCHEME,
     REASON_PATTERN_COLLISION,
+    REASON_PLACEHOLDER_LEAK,
     REASON_TOKEN_TAG_MISMATCH,
     AbortedRun,
     project_sentence,
@@ -66,6 +67,18 @@ class BlankEverything(IdentityBackend):
 
     def translate(self, texts, source_lang, target_lang):
         return [" " for _ in texts]
+
+
+class MapTexts(IdentityBackend):
+    """Replaces whole texts found in ``mapping``; passes the rest through."""
+
+    backend_id = "map"
+
+    def __init__(self, mapping):
+        self.mapping = mapping
+
+    def translate(self, texts, source_lang, target_lang):
+        return [self.mapping.get(t, t) for t in texts]
 
 
 JOHN = ["John", "lives", "in", "Berlin"], ["B-PER", "O", "O", "B-LOC"]
@@ -138,6 +151,17 @@ def test_injected_placeholder_in_zero_entity_sentence_is_count_mismatch():
 
     outcome = project_sentence(sent(["plain", "words"], ["O", "O"]), InjectsPlaceholder(), "en", "fa")
     assert outcome.reason == REASON_COUNT_MISMATCH
+
+
+@pytest.mark.parametrize("mapping", [
+    {"John": "[*0*]"},
+    # "[*" from the template and "7*]" from an entity only match together
+    {"[*0*] lives in [*1*]": "[*0*] lives [* [*1*]", "Berlin": "7*]"},
+], ids=["entity", "across-entity-boundary"])
+def test_entity_translated_to_placeholder_is_leak(mapping):
+    outcome = project_sentence(john(), MapTexts(mapping), "en", "fa")
+    assert outcome.reason == REASON_PLACEHOLDER_LEAK
+    assert outcome.detail == mapping.get("[*0*] lives in [*1*]", "[*0*] lives in [*1*]")
 
 
 def test_dropped_empty_counter_reaches_report():
