@@ -5,22 +5,23 @@ translations. The identity, dictionary, and scrambler backends are
 deterministic stand-ins that make the pipeline testable offline; the HTTP
 backend talks to any JSON service implementing the plain
 ``{"texts": [...], "source": ..., "target": ...}`` → ``{"translations":
-[...]}`` protocol, with retries, a token-bucket rate limit, and bounded
-in-flight concurrency.
+[...]}`` protocol, one request at a time, with retries and a token-bucket
+rate limit. Each ``backend_id`` names the backend's configuration.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
 import random
 import re
+import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from urllib.parse import urlsplit
+from urllib.parse import urlsplit, urlunsplit
 
 import requests
 
@@ -90,13 +91,13 @@ class DictionaryBackend(Backend):
     """Word-by-word lookup in a TSV map; unknown words pass through.
 
     Substrings matching the tolerant placeholder grammar are never touched,
-    whatever the map contains.
+    whatever the map contains. ``backend_id`` fingerprints the map.
     """
-
-    backend_id = "dict"
 
     def __init__(self, mapping: dict[str, str]):
         self._map = dict(mapping)
+        blob = json.dumps(sorted(self._map.items()), ensure_ascii=False).encode("utf-8")
+        self.backend_id = f"dict:{hashlib.sha256(blob).hexdigest()[:12]}"
 
     @classmethod
     def from_file(cls, path: str) -> "DictionaryBackend":
@@ -182,9 +183,10 @@ class HttpBackend(Backend):
     """Generic JSON translation service adapter.
 
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
-    [...]}`` in input order. Texts are chunked ``batch_size`` at a time and
-    chunks run on a bounded pool; transport errors and 5xx answers are
-    retried with exponential backoff and jitter.
+    [...]}`` in input order. Texts are sent ``batch_size`` at a time, one
+    request after another; transport errors and 5xx answers are retried
+    with exponential backoff and jitter. ``backend_id`` is the URL without
+    userinfo, query or fragment, so no secret reaches a cache file.
     """
 
     def __init__(
@@ -193,7 +195,6 @@ class HttpBackend(Backend):
         *,
         api_key: str | None = None,
         batch_size: int = 32,
-        max_inflight: int = 4,
         retries: int = 3,
         backoff_base: float = 0.5,
         backoff_factor: float = 2.0,
@@ -204,7 +205,9 @@ class HttpBackend(Backend):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         self.url = url
-        self.backend_id = f"http:{urlsplit(url).netloc or url}"
+        parts = urlsplit(url)
+        netloc = parts.netloc.rpartition("@")[2]
+        self.backend_id = f"http:{urlunsplit((parts.scheme, netloc, parts.path, '', ''))}"
         self.batch_size = batch_size
         self.retries = retries
         self.backoff_base = backoff_base
@@ -213,20 +216,11 @@ class HttpBackend(Backend):
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._session = session or requests.Session()
         self._bucket = TokenBucket(rate) if rate else None
-        self._inflight = threading.BoundedSemaphore(max_inflight)
 
     def translate(self, texts, source_lang, target_lang):
-        chunks = [texts[i:i + self.batch_size] for i in range(0, len(texts), self.batch_size)]
-        if len(chunks) == 1:
-            results = [self._translate_chunk(chunks[0], source_lang, target_lang)]
-        else:
-            with ThreadPoolExecutor(max_workers=min(len(chunks), 8)) as pool:
-                results = list(
-                    pool.map(lambda c: self._translate_chunk(c, source_lang, target_lang), chunks)
-                )
-        out = [t for chunk in results for t in chunk]
-        if len(out) != len(texts):
-            raise BackendProtocol(f"sent {len(texts)} texts, got {len(out)} translations")
+        out = []
+        for i in range(0, len(texts), self.batch_size):
+            out += self._translate_chunk(texts[i:i + self.batch_size], source_lang, target_lang)
         return out
 
     def _translate_chunk(self, chunk, source_lang, target_lang):
@@ -240,16 +234,15 @@ class HttpBackend(Backend):
             if attempt:
                 delay = self.backoff_base * self.backoff_factor ** (attempt - 1)
                 time.sleep(delay * (1.0 + 0.25 * random.random()))
-            with self._inflight:
-                if self._bucket is not None:
-                    self._bucket.acquire()
-                try:
-                    resp = self._session.post(
-                        self.url, json=payload, headers=headers, timeout=self.timeout
-                    )
-                except requests.RequestException as exc:
-                    last_error = exc
-                    continue
+            if self._bucket is not None:
+                self._bucket.acquire()
+            try:
+                resp = self._session.post(
+                    self.url, json=payload, headers=headers, timeout=self.timeout
+                )
+            except requests.RequestException as exc:
+                last_error = exc
+                continue
             if resp.status_code >= 500:
                 last_error = BackendUnavailable(f"HTTP {resp.status_code} from {self.url}")
                 continue
@@ -275,31 +268,6 @@ class HttpBackend(Backend):
         return translations
 
 
-class MemoryCache:
-    """In-process translation memo with the cache interface; used to keep
-    run-wide at-most-once translation even when no cache file is configured."""
-
-    def __init__(self):
-        self._index: dict[tuple[str, str, str, str], str] = {}
-        self._lock = threading.Lock()
-
-    def lookup(self, backend_id, source_lang, target_lang, text):
-        return self._index.get((backend_id, source_lang, target_lang, text))
-
-    def store(self, backend_id, source_lang, target_lang, text, translation):
-        with self._lock:
-            self._index[(backend_id, source_lang, target_lang, text)] = translation
-
-    def close(self):
-        pass
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        pass
-
-
 class TranslationCache:
     """Append-only JSONL translation memory.
 
@@ -308,15 +276,21 @@ class TranslationCache:
     (last write wins on duplicate keys); lookups are lock-free, appends go
     through a single writer lock. An advisory flock keeps concurrent runs
     off the same file.
+
+    With ``path=None`` the cache lives in memory only: no file, no lock,
+    and ``store`` only updates the index.
     """
 
-    def __init__(self, path: str):
+    def __init__(self, path: str | None = None):
         self.path = path
         self.corrupt_lines: list[int] = []
         self._index: dict[tuple[str, str, str, str], str] = {}
         self._write_lock = threading.Lock()
         # set by _load when a crash left the last line without its newline
         self._torn_tail = False
+        self._fh = None
+        if path is None:
+            return
         self._fh = open(path, "a+", encoding="utf-8")
         try:
             import fcntl
@@ -353,13 +327,18 @@ class TranslationCache:
         fields = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
         if not isinstance(record, dict) or not all(isinstance(record.get(f), str) for f in fields):
             raise CacheCorrupt(line_no, "missing or non-string record fields")
-        key = (record["backend_id"], record["source_lang"], record["target_lang"], record["source_text"])
+        # a file holds few distinct ids and language codes but many lines
+        key = (sys.intern(record["backend_id"]), sys.intern(record["source_lang"]),
+               sys.intern(record["target_lang"]), record["source_text"])
         return key, record["target_text"]
 
     def lookup(self, backend_id: str, source_lang: str, target_lang: str, text: str) -> str | None:
         return self._index.get((backend_id, source_lang, target_lang, text))
 
     def store(self, backend_id: str, source_lang: str, target_lang: str, text: str, translation: str) -> None:
+        if self._fh is None:
+            self._index[(backend_id, source_lang, target_lang, text)] = translation
+            return
         record = {
             "backend_id": backend_id,
             "source_lang": source_lang,
@@ -378,7 +357,7 @@ class TranslationCache:
             self._index[(backend_id, source_lang, target_lang, text)] = translation
 
     def close(self):
-        if not self._fh.closed:
+        if self._fh is not None and not self._fh.closed:
             self._fh.close()
 
     def __enter__(self):
@@ -386,6 +365,11 @@ class TranslationCache:
 
     def __exit__(self, *exc):
         self.close()
+
+
+def MemoryCache() -> TranslationCache:
+    """An in-memory translation memo, ``TranslationCache(None)``."""
+    return TranslationCache(None)
 
 
 class BackendCounters:
@@ -407,7 +391,7 @@ class BackendCounters:
 def translate_batch(
     request: TranslationRequest,
     backend: Backend,
-    cache: TranslationCache | MemoryCache | None = None,
+    cache: TranslationCache | None = None,
     counters: BackendCounters | None = None,
 ) -> list[str]:
     """Translate request.texts, consulting the cache before the backend and

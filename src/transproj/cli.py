@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -16,7 +17,8 @@ EXIT_PARSE = 3
 EXIT_ABORT = 4
 EXIT_IO = 5
 
-PROFILES = ("generic", "conll2003", "wnut", "ontonotes", "ncbi")
+# conll2003 turns IOB1 -> IOB2 normalization on by default
+PROFILES = ("generic", "conll2003")
 SPLITS = ("train", "dev", "test")
 
 TRANSLATE_DEFAULTS = {
@@ -231,14 +233,16 @@ def cmd_translate(args) -> int:
             splits[name] = split
 
     backend = _make_backend(cfg["backend"], int(cfg["batch"]))
-    # run-wide memo even without a cache file: a surface repeated across
-    # splits is still translated only once per run
-    cache = backends.TranslationCache(cfg["cache"]) if cfg["cache"] else backends.MemoryCache()
+    # run-wide memo even without a cache file ("" in a config file means
+    # none): a surface repeated across splits is translated only once per run
+    cache = backends.TranslationCache(cfg["cache"] or None)
 
     report = pipeline.RunReport(config=cfg)
     exclusion_records = []
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)
+    # outputs are renamed into place only once every split has finished
+    staged: list[str] = []
     try:
         for name, split in splits.items():
             projected, outcomes, part = pipeline.project_split(
@@ -262,14 +266,20 @@ def cmd_translate(args) -> int:
                             "detail": outcome.detail,
                         }
                     )
-            with open(os.path.join(out_dir, f"{name}.conll"), "w", encoding="utf-8") as fh:
+            staged.append(os.path.join(out_dir, f"{name}.conll"))
+            with open(staged[-1] + ".tmp", "w", encoding="utf-8") as fh:
                 fh.write(conll_io.serialize_conll(projected))
+        staged.append(os.path.join(out_dir, "exclusions.jsonl"))
+        with open(staged[-1] + ".tmp", "w", encoding="utf-8") as fh:
+            for record in exclusion_records:
+                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for path in staged:
+            os.replace(path + ".tmp", path)
     finally:
         cache.close()
-
-    with open(os.path.join(out_dir, "exclusions.jsonl"), "w", encoding="utf-8") as fh:
-        for record in exclusion_records:
-            fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        for path in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path + ".tmp")
 
     sys.stdout.write(report.render())
     if cfg["report"]:

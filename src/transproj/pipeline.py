@@ -1,11 +1,11 @@
 """End-to-end projection of a tagged corpus through a translation backend.
 
-Per sentence: validate the tag scheme, extract spans, mask them with
-indexed placeholders, translate template and entity surfaces, check that
-the placeholder multiset survived, reinsert the translated entities,
-check that no placeholder syntax reached the output, and re-check the tag
-scheme. Any failing stage turns the sentence into an exclusion with a
-machine-readable reason instead of an error.
+Per sentence: validate the tag scheme while extracting spans, mask them
+with indexed placeholders, translate template and entity surfaces, check
+that the placeholder multiset survived, reinsert the translated entities
+(``unmask`` builds valid IOB2 tags itself), and check that no placeholder
+syntax reached the output. Any failing stage turns the sentence into an
+exclusion with a machine-readable reason instead of an error.
 """
 
 from __future__ import annotations
@@ -20,13 +20,13 @@ from .backends import (
     Backend,
     BackendCounters,
     BackendError,
-    MemoryCache,
     TranslationCache,
     TranslationRequest,
     translate_batch,
 )
-from .conll_io import DatasetSplit, InvalidSentence, TaggedSentence, validate_scheme
+from .conll_io import DatasetSplit, InvalidSentence, TaggedSentence
 from .placeholder import MaskedSentence
+from .spans import InvalidScheme
 
 REASON_PATTERN_COLLISION = "pattern-collision"
 REASON_COUNT_MISMATCH = ph.REASON_COUNT_MISMATCH
@@ -140,14 +140,12 @@ class RunReport:
 
 def _prepare(sentence: TaggedSentence) -> tuple[MaskedSentence | None, str | None, str | None]:
     """Stages before translation: (masked, reason, detail)."""
-    violations = validate_scheme(sentence)
-    if violations:
-        return None, REASON_INVALID_SCHEME, violations[0].message
     try:
-        masked = ph.mask(sentence)
+        return ph.mask(sentence), None, None
+    except InvalidScheme as exc:
+        return None, REASON_INVALID_SCHEME, exc.violations[0].message
     except ph.PatternCollision as exc:
         return None, REASON_PATTERN_COLLISION, str(exc)
-    return masked, None, None
 
 
 def _finish(
@@ -157,26 +155,21 @@ def _finish(
     origin = sentence.origin_index
     template = translated[0]
     entities = translated[1:]
-    reason = ph.count_check(masked, template)
+    hits = ph.find_placeholders(template)
+    reason = ph.count_check(masked, template, hits)
     if reason is not None:
         return ProjectionOutcome(origin, reason=reason, detail=template)
+    # count_check passed, so unmask cannot raise DuplicateIndex or UnknownIndex
     try:
-        out = ph.unmask(template, entities, [e.label for e in masked.entities], origin)
+        out = ph.unmask(template, entities, [e.label for e in masked.entities], origin, hits)
     except ph.EmptyEntityTranslation as exc:
         return ProjectionOutcome(origin, reason=REASON_EMPTY_ENTITY, detail=str(exc))
-    except ph.DuplicateIndex as exc:
-        return ProjectionOutcome(origin, reason=REASON_DUPLICATE, detail=str(exc))
-    except ph.UnknownIndex as exc:
-        return ProjectionOutcome(origin, reason=REASON_COUNT_MISMATCH, detail=str(exc))
     except InvalidSentence as exc:
         return ProjectionOutcome(origin, reason=REASON_TOKEN_TAG_MISMATCH, detail=str(exc))
     # An entity translated into placeholder syntax, alone or together with a
     # neighbouring template word, would reach the corpus as an entity token.
     if ph.PLACEHOLDER_RE.search(" ".join(out.tokens)):
         return ProjectionOutcome(origin, reason=REASON_PLACEHOLDER_LEAK, detail=template)
-    if validate_scheme(out):
-        return ProjectionOutcome(origin, reason=REASON_TOKEN_TAG_MISMATCH,
-                                 detail="post-translation consistency check failed")
     return ProjectionOutcome(origin, sentence=out)
 
 
@@ -186,24 +179,19 @@ def project_sentence(
     source_lang: str,
     target_lang: str,
     *,
-    cache: TranslationCache | MemoryCache | None = None,
+    cache: TranslationCache | None = None,
     counters: BackendCounters | None = None,
     on_error: str = POLICY_LENIENT,
 ) -> ProjectionOutcome:
-    """Project one sentence; every failure mode is an Excluded outcome except
-    backend failure under the strict policy, which raises AbortedRun."""
-    masked, reason, detail = _prepare(sentence)
-    if masked is None:
-        return ProjectionOutcome(sentence.origin_index, reason=reason, detail=detail)
-    texts = [masked.template] + [e.surface for e in masked.entities]
-    request = TranslationRequest(tuple(texts), source_lang, target_lang)
-    try:
-        translated = translate_batch(request, backend, cache, counters)
-    except BackendError as exc:
-        if on_error == POLICY_STRICT:
-            raise AbortedRun(str(exc)) from exc
-        return ProjectionOutcome(sentence.origin_index, reason=REASON_BACKEND_FAILURE, detail=str(exc))
-    return _finish(sentence, masked, translated)
+    """Project one sentence as a one-sentence split; every failure mode is an
+    Excluded outcome except backend failure under the strict policy, which raises AbortedRun."""
+    _, outcomes, report = project_split(
+        DatasetSplit("sentence", [sentence]), backend, source_lang, target_lang,
+        cache=cache, on_error=on_error,
+    )
+    if counters is not None:
+        counters.add(hits=report.cache_hits, calls=report.backend_calls, texts=report.texts_translated)
+    return outcomes[0]
 
 
 def project_split(
@@ -214,7 +202,7 @@ def project_split(
     *,
     parallelism: int = 1,
     batch: int = 32,
-    cache: TranslationCache | MemoryCache | None = None,
+    cache: TranslationCache | None = None,
     on_error: str = POLICY_LENIENT,
 ) -> tuple[DatasetSplit, list[ProjectionOutcome], RunReport]:
     """Project a whole split.

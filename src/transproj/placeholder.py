@@ -89,10 +89,6 @@ def mask(sentence: TaggedSentence) -> MaskedSentence:
     cannot be realigned reliably and must be excluded.
     """
     spans = extract_spans(sentence)
-    for pos, token in enumerate(sentence.tokens):
-        if PLACEHOLDER_RE.search(token):
-            raise PatternCollision(f"token {token!r} at position {pos} matches the placeholder pattern")
-
     parts = []
     i = 0
     span_idx = 0
@@ -106,23 +102,34 @@ def mask(sentence: TaggedSentence) -> MaskedSentence:
             i += 1
     template = " ".join(parts)
 
-    # Adjacent source tokens may jointly form a pattern the per-token check
-    # cannot see ("[*" + "0*]"); the assembled template must scan back to
-    # exactly the placeholders inserted above.
-    if [h.index for h in find_placeholders(template)] != list(range(len(spans))):
-        raise PatternCollision("source tokens combine into a placeholder-like pattern")
+    # A source token that reads as a placeholder, alone or joined with its
+    # neighbours ("[*" + "0*]"), adds a hit to the template or, inside an
+    # entity, a match to its surface; only then are tokens searched one by one.
+    aligned = [h.index for h in find_placeholders(template)] == list(range(len(spans)))
+    if not aligned or any(PLACEHOLDER_RE.search(span.surface) for span in spans):
+        for pos, token in enumerate(sentence.tokens):
+            if PLACEHOLDER_RE.search(token):
+                raise PatternCollision(
+                    f"token {token!r} at position {pos} matches the placeholder pattern"
+                )
+        if not aligned:
+            raise PatternCollision("source tokens combine into a placeholder-like pattern")
 
     return MaskedSentence(template, tuple(spans))
 
 
-def count_check(masked: MaskedSentence, translated_template: str) -> str | None:
+def count_check(masked: MaskedSentence, translated_template: str,
+                hits: list[PlaceholderHit] | None = None) -> str | None:
     """Check that translation preserved the placeholder multiset.
 
     Returns None on pass, otherwise the failure reason: a repeated index is
     ``duplicate-placeholder``, any other deviation from the exact index set
-    {0..n-1} is ``placeholder-count-mismatch``.
+    {0..n-1} is ``placeholder-count-mismatch``. ``hits`` are the template's
+    placeholders when the caller has already scanned it.
     """
-    indices = [h.index for h in find_placeholders(translated_template)]
+    if hits is None:
+        hits = find_placeholders(translated_template)
+    indices = [h.index for h in hits]
     if len(indices) != len(set(indices)):
         return REASON_DUPLICATE
     if set(indices) != set(range(len(masked.entities))):
@@ -135,12 +142,14 @@ def unmask(
     translated_entities: list[str],
     labels: list[str],
     origin_index: int = 0,
+    hits: list[PlaceholderHit] | None = None,
 ) -> TaggedSentence:
     """Insert translated entities back into a translated template.
 
     Placeholder i (wherever translation moved it) is expanded to the
     whitespace-split tokens of ``translated_entities[i]``, tagged
-    B-labels[i] then I-labels[i]; every other token is tagged O.
+    B-labels[i] then I-labels[i]; every other token is tagged O. ``hits``
+    are the template's placeholders when the caller has already scanned it.
     """
     if len(translated_entities) != len(labels):
         raise ValueError(
@@ -150,7 +159,8 @@ def unmask(
         if not entity.strip():
             raise EmptyEntityTranslation(f"entity {idx} translated to whitespace")
 
-    hits = find_placeholders(translated_template)
+    if hits is None:
+        hits = find_placeholders(translated_template)
     seen = set()
     for hit in hits:
         if hit.index >= len(translated_entities):

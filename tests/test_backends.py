@@ -202,6 +202,19 @@ def test_cache_advisory_lock(tmp_path):
     TranslationCache(path).close()
 
 
+def test_cache_keys_distinguish_dictionaries(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    request = TranslationRequest(("dog",), "en", "de")
+    with TranslationCache(path) as cache:
+        assert translate_batch(request, DictionaryBackend({"dog": "Hund"}), cache) == ["Hund"]
+    with TranslationCache(path) as cache:
+        assert translate_batch(request, DictionaryBackend({"dog": "HUND"}), cache) == ["HUND"]
+        # an equal mapping is the same configuration and hits
+        counters = BackendCounters()
+        translate_batch(request, DictionaryBackend({"dog": "Hund"}), cache, counters)
+        assert counters.cache_hits == 1
+
+
 # --- token bucket ----------------------------------------------------------------
 
 
@@ -327,3 +340,18 @@ def test_http_zero_calls_with_warm_cache(tmp_path, stub_server):
         second = translate_batch(request, backend, cache)
     assert stub.request_count == 1
     assert first == second
+
+
+def test_cache_keys_distinguish_http_paths(tmp_path, stub_server):
+    stub = stub_server()
+    base = stub.url.rsplit("/", 1)[0]
+    path = str(tmp_path / "c.jsonl")
+    request = TranslationRequest(("alpha",), "en", "fa")
+    with TranslationCache(path) as cache:
+        translate_batch(request, http_backend(f"{base}/v1?key=s3cret"), cache)
+        translate_batch(request, http_backend(f"{base}/v2?key=s3cret"), cache)
+    assert stub.request_count == 2
+    # neither the query nor userinfo reaches the key written to disk
+    backend = http_backend(f"http://user:pw@{base.split('//')[1]}/v1?key=s3cret")
+    assert backend.backend_id == f"http:{base}/v1"
+    assert "s3cret" not in (tmp_path / "c.jsonl").read_text(encoding="utf-8")

@@ -101,6 +101,35 @@ def test_translate_lenient_backend_failure_excludes_everything(fixture_paths, tm
     assert {r["split"] for r in records} == {"train", "dev", "test"}
 
 
+def test_translate_strict_abort_on_dev_leaves_no_outputs(fixture_paths, tmp_path, monkeypatch):
+    from transproj.backends import BackendUnavailable, IdentityBackend
+
+    class FailsAfterFirstCall(IdentityBackend):
+        calls = 0
+
+        def translate(self, texts, source_lang, target_lang):
+            self.calls += 1
+            if self.calls > 1:
+                raise BackendUnavailable("wire cut")
+            return list(texts)
+
+    backend = FailsAfterFirstCall()
+    monkeypatch.setattr(cli, "_make_backend", lambda spec, batch: backend)
+    out = tmp_path / "out"
+    # one request per split: train succeeds, dev aborts
+    code = cli.main(translate_args(fixture_paths, out, batch=1000, **{"on-backend-error": "strict"}))
+    assert code == 4
+    assert backend.calls == 2
+    assert list(out.iterdir()) == []
+
+
+def test_translate_rejects_profiles_without_effect(fixture_paths, tmp_path):
+    assert cli.main(translate_args(fixture_paths, tmp_path / "a", profile="wnut")) == 2
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({"profile": "wnut"}), encoding="utf-8")
+    assert cli.main(translate_args(fixture_paths, tmp_path / "b", config=config_path)) == 2
+
+
 def test_config_file_defaults_and_flag_override(fixture_paths, data_dir, tmp_path):
     config = {
         "backend": f"dict:{data_dir / 'dict_en_fa.tsv'}",

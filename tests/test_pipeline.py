@@ -1,7 +1,12 @@
-import pytest
+from collections import Counter
 
+import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
+
+from transproj import conll_io, pipeline, placeholder, spans
 from transproj.backends import BackendUnavailable, DictionaryBackend, IdentityBackend, ScramblerBackend
-from transproj.conll_io import DatasetSplit, parse_conll, serialize_conll, validate_scheme
+from transproj.conll_io import DatasetSplit, InvalidSentence, parse_conll, serialize_conll, validate_scheme
 from transproj.pipeline import (
     REASON_BACKEND_FAILURE,
     REASON_COUNT_MISMATCH,
@@ -15,11 +20,20 @@ from transproj.pipeline import (
     project_sentence,
     project_split,
 )
-from transproj.placeholder import find_placeholders
+from transproj.placeholder import (
+    PLACEHOLDER_RE,
+    EmptyEntityTranslation,
+    PatternCollision,
+    count_check,
+    find_placeholders,
+    mask,
+    unmask,
+)
 from transproj.spans import extract_spans
 from transproj.stats import delta_stats, split_stats
 
 from test_conll_io import sent
+from test_placeholder import ADVERSARIAL_TEXT, adversarial_sentences
 
 
 class DropFirstPlaceholder(IdentityBackend):
@@ -291,3 +305,116 @@ def test_report_merge_accumulates():
     a.merge(b)
     assert a.splits["train"].total == 3
     assert a.splits["dev"].total == 1
+
+
+# --- one pass per stage ------------------------------------------------------
+
+
+def count_calls(monkeypatch, name):
+    """Count calls to ``name`` under every transproj module that binds it."""
+    calls = Counter()
+    for module in (conll_io, spans, placeholder, pipeline):
+        original = getattr(module, name, None)
+        if original is not None:
+            def counted(*args, _original=original, **kwargs):
+                calls[name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def mixed_split():
+    return DatasetSplit("train", [john(0), sent(["only", "words"], ["O", "O"], 1), john(2)])
+
+
+def test_each_sentence_is_validated_once(monkeypatch):
+    calls = count_calls(monkeypatch, "validate_scheme")
+    out, _, _ = project_split(mixed_split(), IdentityBackend(), "en", "fa")
+    assert len(out) == 3
+    assert calls["validate_scheme"] == 3
+
+
+def test_each_projected_sentence_is_scanned_twice(monkeypatch):
+    # once for the masked source template, once for the translated one
+    calls = count_calls(monkeypatch, "find_placeholders")
+    out, _, _ = project_split(mixed_split(), IdentityBackend(), "en", "fa")
+    assert len(out) == 3
+    assert calls["find_placeholders"] == 6
+
+
+# --- properties --------------------------------------------------------------
+
+# What an adversarial backend does to one text: pass it through, replace it,
+# add to either end of it, or reverse its words.
+EDITS = st.one_of(
+    st.none(),
+    ADVERSARIAL_TEXT,
+    st.tuples(st.sampled_from(["prefix", "suffix"]), ADVERSARIAL_TEXT),
+    st.just("reverse"),
+)
+
+
+def apply_edit(text, edit):
+    if edit is None:
+        return text
+    if edit == "reverse":
+        return " ".join(text.split()[::-1])
+    if isinstance(edit, tuple):
+        where, extra = edit
+        return f"{extra} {text}" if where == "prefix" else f"{text} {extra}"
+    return edit
+
+
+class Adversary(IdentityBackend):
+    """Applies the k-th drawn edit to the k-th text it is sent."""
+
+    backend_id = "adversary"
+
+    def __init__(self, edits):
+        self.edits = edits
+
+    def translate(self, texts, source_lang, target_lang):
+        return [apply_edit(t, self.edits[k % len(self.edits)]) for k, t in enumerate(texts)]
+
+
+@given(adversarial_sentences(), st.lists(EDITS, min_size=1, max_size=6))
+def test_projected_sentences_revalidate_and_remask(s, edits):
+    outcome = project_sentence(s, Adversary(edits), "en", "fa")
+    if outcome.projected:
+        assert validate_scheme(outcome.sentence) == []
+        try:
+            mask(outcome.sentence)
+        except PatternCollision as exc:
+            raise AssertionError(f"projected sentence re-masks with a collision: {exc}")
+    else:
+        assert outcome.reason in pipeline.ALL_REASONS
+
+
+def reference_finish(s, masked, translated):
+    """(reason, detail, sentence) from the public stages, each scanning the
+    template itself: count_check, unmask, then the leak check."""
+    template, entities = translated[0], translated[1:]
+    reason = count_check(masked, template)
+    if reason is not None:
+        return reason, template, None
+    try:
+        out = unmask(template, entities, [e.label for e in masked.entities], s.origin_index)
+    except EmptyEntityTranslation as exc:
+        return REASON_EMPTY_ENTITY, str(exc), None
+    except InvalidSentence as exc:
+        return REASON_TOKEN_TAG_MISMATCH, str(exc), None
+    if PLACEHOLDER_RE.search(" ".join(out.tokens)):
+        return REASON_PLACEHOLDER_LEAK, template, None
+    return None, None, out
+
+
+@given(adversarial_sentences(), st.data())
+def test_finish_matches_public_stage_reference(s, data):
+    try:
+        masked = mask(s)
+    except PatternCollision:
+        assume(False)
+    texts = [masked.template] + [e.surface for e in masked.entities]
+    translated = [apply_edit(t, data.draw(st.one_of(EDITS, st.just(" ")))) for t in texts]
+    outcome = pipeline._finish(s, masked, translated)
+    assert (outcome.reason, outcome.detail, outcome.sentence) == reference_finish(s, masked, translated)

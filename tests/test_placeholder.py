@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from transproj.conll_io import validate_scheme
 from transproj.placeholder import (
+    PLACEHOLDER_RE,
     REASON_COUNT_MISMATCH,
     REASON_DUPLICATE,
     DuplicateIndex,
@@ -16,7 +17,7 @@ from transproj.placeholder import (
     mask,
     unmask,
 )
-from transproj.spans import EntitySpan
+from transproj.spans import EntitySpan, extract_spans
 
 from test_conll_io import sent
 
@@ -216,3 +217,63 @@ def test_permutation_alignment(s, rng):
     assert got == want
     assert validate_scheme(out) == []
     assert sum(1 for t in out.tags if t.kind == "B") == len(m.entities)
+
+
+# Pieces of the placeholder grammar, ASCII and Arabic-Indic digits, and
+# plain words: joined at random they form whole, partial and cross-token
+# placeholders.
+FRAGMENTS = st.sampled_from(
+    ["w", "Berlin", "[", "]", "*", "[*", "*]", "0", "1", "٠", "۱", "2*]", "[*0*]", "[*1*]",
+     "[*١*]", "[*۰*]"]
+)
+ADVERSARIAL_TOKEN = st.lists(FRAGMENTS, min_size=1, max_size=3).map("".join)
+ADVERSARIAL_TEXT = st.lists(
+    st.tuples(FRAGMENTS, st.sampled_from(["", " ", "  "])), max_size=6
+).map(lambda parts: "".join(a + b for a, b in parts))
+
+
+@st.composite
+def adversarial_sentences(draw, origin=0):
+    """Valid IOB2 sentences whose tokens, inside entities or not, may hold
+    placeholder fragments."""
+    n = draw(st.integers(1, 6))
+    tokens = draw(st.lists(ADVERSARIAL_TOKEN, min_size=n, max_size=n))
+    raw, prev = [], None
+    for _ in range(n):
+        label = draw(st.sampled_from([None, "PER", "LOC"]))
+        if label is None:
+            raw.append("O")
+        elif label == prev and draw(st.booleans()):
+            raw.append(f"I-{label}")
+        else:
+            raw.append(f"B-{label}")
+        prev = label
+    return sent(tokens, raw, origin)
+
+
+def reference_collision(s):
+    """The collision message of a per-token search, then a scan of the
+    assembled template; None when the sentence masks cleanly."""
+    for pos, token in enumerate(s.tokens):
+        if PLACEHOLDER_RE.search(token):
+            return f"token {token!r} at position {pos} matches the placeholder pattern"
+    spans = extract_spans(s)
+    parts, i = [], 0
+    for k, span in enumerate(spans):
+        parts += s.tokens[i:span.start] + [f"[*{k}*]"]
+        i = span.end
+    parts += s.tokens[i:]
+    if [h.index for h in find_placeholders(" ".join(parts))] != list(range(len(spans))):
+        return "source tokens combine into a placeholder-like pattern"
+    return None
+
+
+@given(adversarial_sentences())
+def test_mask_collision_matches_per_token_then_template_reference(s):
+    expected = reference_collision(s)
+    if expected is None:
+        assert mask(s).entities == tuple(extract_spans(s))
+    else:
+        with pytest.raises(PatternCollision) as exc:
+            mask(s)
+        assert str(exc.value) == expected
