@@ -185,8 +185,9 @@ class HttpBackend(Backend):
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
     [...]}`` in input order. Texts are sent ``batch_size`` at a time, one
     request after another; transport errors and 5xx answers are retried
-    with exponential backoff and jitter. ``backend_id`` is the URL without
-    userinfo, query or fragment, so no secret reaches a cache file.
+    with exponential backoff (doubling from ``backoff_base``) and jitter.
+    ``backend_id`` is the URL without userinfo, query or fragment, so no
+    secret reaches a cache file.
     """
 
     def __init__(
@@ -197,7 +198,6 @@ class HttpBackend(Backend):
         batch_size: int = 32,
         retries: int = 3,
         backoff_base: float = 0.5,
-        backoff_factor: float = 2.0,
         rate: float | None = 5.0,
         timeout: float = 30.0,
         session: requests.Session | None = None,
@@ -211,7 +211,6 @@ class HttpBackend(Backend):
         self.batch_size = batch_size
         self.retries = retries
         self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self.timeout = timeout
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._session = session or requests.Session()
@@ -232,7 +231,7 @@ class HttpBackend(Backend):
         last_error: Exception | None = None
         for attempt in range(self.retries + 1):
             if attempt:
-                delay = self.backoff_base * self.backoff_factor ** (attempt - 1)
+                delay = self.backoff_base * 2 ** (attempt - 1)
                 time.sleep(delay * (1.0 + 0.25 * random.random()))
             if self._bucket is not None:
                 self._bucket.acquire()
@@ -291,7 +290,7 @@ class TranslationCache:
         self._fh = None
         if path is None:
             return
-        self._fh = open(path, "a+", encoding="utf-8")
+        self._fh = open(path, "a+b")
         try:
             import fcntl
 
@@ -307,7 +306,7 @@ class TranslationCache:
     def _load(self):
         self._fh.seek(0)
         for line_no, line in enumerate(self._fh, start=1):
-            self._torn_tail = not line.endswith("\n")
+            self._torn_tail = not line.endswith(b"\n")
             if not line.strip():
                 continue
             try:
@@ -319,9 +318,13 @@ class TranslationCache:
         self._fh.seek(0, os.SEEK_END)
 
     @staticmethod
-    def _parse_line(line: str, line_no: int) -> tuple[tuple[str, str, str, str], str]:
+    def _parse_line(line: bytes, line_no: int) -> tuple[tuple[str, str, str, str], str]:
         try:
-            record = json.loads(line)
+            text = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise CacheCorrupt(line_no, f"not valid UTF-8 ({exc})") from exc
+        try:
+            record = json.loads(text)
         except ValueError as exc:
             raise CacheCorrupt(line_no, f"not valid JSON ({exc})") from exc
         fields = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
@@ -346,11 +349,11 @@ class TranslationCache:
             "source_text": text,
             "target_text": translation,
         }
-        line = json.dumps(record, ensure_ascii=False) + "\n"
+        line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._write_lock:
             if self._torn_tail:
                 # end the partial line, or this record would be glued onto it
-                line = "\n" + line
+                line = b"\n" + line
                 self._torn_tail = False
             self._fh.write(line)
             self._fh.flush()
@@ -399,9 +402,7 @@ def translate_batch(
     sent to the backend once."""
     results: dict[str, str] = {}
     misses: list[str] = []
-    for text in request.texts:
-        if text in results or text in misses:
-            continue
+    for text in dict.fromkeys(request.texts):
         cached = None
         if cache is not None:
             cached = cache.lookup(backend.backend_id, request.source_lang, request.target_lang, text)

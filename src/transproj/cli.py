@@ -7,6 +7,8 @@ import contextlib
 import json
 import os
 import sys
+import time
+from urllib.parse import urlsplit
 
 from . import backends, conll_io, pipeline, stats
 
@@ -139,24 +141,14 @@ def _effective_config(args) -> dict:
     cfg = dict(TRANSLATE_DEFAULTS)
     if args.config:
         cfg.update(_load_config_file(args.config))
-    flag_values = {
-        "input-train": args.input_train,
-        "input-dev": args.input_dev,
-        "input-test": args.input_test,
-        "out": args.out,
-        "src": args.src,
-        "tgt": args.tgt,
-        "backend": args.backend,
-        "cache": args.cache,
-        "batch": args.batch,
-        "parallel": args.parallel,
-        "on-backend-error": args.on_backend_error,
-        "profile": args.profile,
-        "report": args.report,
-        "normalize-iob1": args.normalize_iob1,
-    }
+    # each key's argparse dest is the key with "_" for "-"
+    flag_values = {k: getattr(args, k.replace("-", "_")) for k in TRANSLATE_DEFAULTS}
     cfg.update({k: v for k, v in flag_values.items() if v is not None})
 
+    # config-file values come from outside the program and may be any JSON type
+    for key in ("out", "src", "tgt", "backend", "cache", "report", *(f"input-{s}" for s in SPLITS)):
+        if cfg[key] is not None and not isinstance(cfg[key], str):
+            raise ConfigError(f"--{key} must be a string, got {cfg[key]!r}")
     for key in ("out", "src", "tgt", "backend"):
         if not cfg[key]:
             raise ConfigError(f"--{key} is required")
@@ -164,6 +156,9 @@ def _effective_config(args) -> dict:
         raise ConfigError("source and target language codes must differ")
     for key in ("batch", "parallel"):
         try:
+            # int() would read true as 1 and cut 2.7 to 2
+            if isinstance(cfg[key], (bool, float)):
+                raise TypeError
             cfg[key] = int(cfg[key])
         except (TypeError, ValueError):
             raise ConfigError(f"--{key} must be an integer, got {cfg[key]!r}")
@@ -173,7 +168,7 @@ def _effective_config(args) -> dict:
         raise ConfigError(f"--on-backend-error must be lenient or strict, got {cfg['on-backend-error']!r}")
     if cfg["profile"] not in PROFILES:
         raise ConfigError(f"unknown profile {cfg['profile']!r}")
-    if cfg["normalize-iob1"] not in (None, True, False):
+    if not (cfg["normalize-iob1"] is None or isinstance(cfg["normalize-iob1"], bool)):
         raise ConfigError("normalize-iob1 must be true or false")
     if not any(cfg[f"input-{s}"] for s in SPLITS):
         raise ConfigError("at least one of --input-train/--input-dev/--input-test is required")
@@ -199,8 +194,12 @@ def _make_backend(spec: str, batch: int) -> backends.Backend:
             raise ConfigError(f"scramble backend needs an integer seed, got {rest!r}")
     if kind in ("http", "https"):
         url = spec if rest.startswith("//") else rest
-        if not url:
-            raise ConfigError("http backend needs a URL: http:<url>")
+        try:
+            parts = urlsplit(url)
+        except ValueError as exc:
+            raise ConfigError(f"http backend URL {url!r} does not parse: {exc}")
+        if parts.scheme not in ("http", "https") or not parts.netloc:
+            raise ConfigError(f"http backend needs a full http(s)://host/path URL, got {url!r}")
         return backends.HttpBackend(url, batch_size=batch)
     raise ConfigError(f"unknown backend spec {spec!r}")
 
@@ -218,6 +217,7 @@ def _read_split(path: str, name: str) -> conll_io.DatasetSplit:
 
 def cmd_translate(args) -> int:
     cfg = _effective_config(args)
+    started = time.monotonic()
 
     splits = {}
     for name in SPLITS:
@@ -232,7 +232,7 @@ def cmd_translate(args) -> int:
                 )
             splits[name] = split
 
-    backend = _make_backend(cfg["backend"], int(cfg["batch"]))
+    backend = _make_backend(cfg["backend"], cfg["batch"])
     # run-wide memo even without a cache file ("" in a config file means
     # none): a surface repeated across splits is translated only once per run
     cache = backends.TranslationCache(cfg["cache"] or None)
@@ -250,8 +250,8 @@ def cmd_translate(args) -> int:
                 backend,
                 cfg["src"],
                 cfg["tgt"],
-                parallelism=int(cfg["parallel"]),
-                batch=int(cfg["batch"]),
+                parallelism=cfg["parallel"],
+                batch=cfg["batch"],
                 cache=cache,
                 on_error=cfg["on-backend-error"],
             )
@@ -275,6 +275,7 @@ def cmd_translate(args) -> int:
                 fh.write(json.dumps(record, ensure_ascii=False) + "\n")
         for path in staged:
             os.replace(path + ".tmp", path)
+        report.duration_seconds = time.monotonic() - started
     finally:
         cache.close()
         for path in staged:

@@ -99,7 +99,6 @@ class RunReport:
         self.backend_calls += other.backend_calls
         self.texts_translated += other.texts_translated
         self.cache_hits += other.cache_hits
-        self.duration_seconds += other.duration_seconds
 
     def to_dict(self) -> dict:
         return {
@@ -235,12 +234,17 @@ def project_split(
     failures: dict[str, str] = {}
 
     def run_batch(texts: list[str]):
+        """(texts, translations, None), or (texts, None, error) when the backend
+        fails, so one failed batch does not raise inside the pool."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
-        return translate_batch(request, backend, cache, counters)
+        try:
+            return texts, translate_batch(request, backend, cache, counters), None
+        except BackendError as exc:
+            return texts, None, str(exc)
 
     if batches:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            settled = list(pool.map(lambda b: _settle(run_batch, b), batches))
+            settled = list(pool.map(run_batch, batches))
         for texts, result, error in settled:
             if error is None:
                 translations.update(zip(texts, result))
@@ -286,11 +290,3 @@ def project_split(
     report.cache_hits = counters.cache_hits
     report.duration_seconds = time.monotonic() - started
     return out_split, outcomes, report
-
-
-def _settle(fn, texts):
-    """Run one batch, capturing backend errors instead of raising in-pool."""
-    try:
-        return texts, fn(texts), None
-    except BackendError as exc:
-        return texts, None, str(exc)

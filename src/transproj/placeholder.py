@@ -148,8 +148,11 @@ def unmask(
 
     Placeholder i (wherever translation moved it) is expanded to the
     whitespace-split tokens of ``translated_entities[i]``, tagged
-    B-labels[i] then I-labels[i]; every other token is tagged O. ``hits``
-    are the template's placeholders when the caller has already scanned it.
+    B-labels[i] then I-labels[i]. The template text between placeholders is
+    split on whitespace and tagged O, so a placeholder glued to punctuation
+    still splits off. ``hits`` are the template's placeholders, in order,
+    when the caller has already scanned it; an index out of range raises
+    UnknownIndex and a repeated one DuplicateIndex.
     """
     if len(translated_entities) != len(labels):
         raise ValueError(
@@ -161,38 +164,24 @@ def unmask(
 
     if hits is None:
         hits = find_placeholders(translated_template)
+    outside = Tag.outside()
+    tokens: list[str] = []
+    tags: list[Tag] = []
     seen = set()
+    last = 0
     for hit in hits:
         if hit.index >= len(translated_entities):
             raise UnknownIndex(f"placeholder index {hit.index} but only {len(translated_entities)} entities")
         if hit.index in seen:
             raise DuplicateIndex(f"placeholder index {hit.index} occurs more than once")
         seen.add(hit.index)
-
-    # Swap each hit for a sentinel token padded with spaces so placeholders
-    # glued to punctuation split off cleanly, then tokenize on whitespace.
-    base = ""
-    while base in translated_template:
-        base += ""
-    pieces = []
-    last = 0
-    for k, hit in enumerate(hits):
-        pieces.append(translated_template[last:hit.start])
-        pieces.append(f" {base}{k} ")
+        words = translated_template[last:hit.start].split()
+        ent_words = translated_entities[hit.index].split()
+        label = labels[hit.index]
+        tokens += words + ent_words
+        tags += [outside] * len(words) + [Tag.begin(label)] + [Tag.inside(label)] * (len(ent_words) - 1)
         last = hit.end
-    pieces.append(translated_template[last:])
-    sentinel_to_hit = {f"{base}{k}": hit for k, hit in enumerate(hits)}
-
-    tokens: list[str] = []
-    tags: list[Tag] = []
-    for word in "".join(pieces).split():
-        hit = sentinel_to_hit.get(word)
-        if hit is None:
-            tokens.append(word)
-            tags.append(Tag.outside())
-        else:
-            label = labels[hit.index]
-            for j, ent_word in enumerate(translated_entities[hit.index].split()):
-                tokens.append(ent_word)
-                tags.append(Tag.begin(label) if j == 0 else Tag.inside(label))
+    words = translated_template[last:].split()
+    tokens += words
+    tags += [outside] * len(words)
     return TaggedSentence(tokens, tags, origin_index)

@@ -193,6 +193,24 @@ def test_cache_store_after_torn_tail_survives_reload(tmp_path):
         assert cache.corrupt_lines == [2]
 
 
+def test_cache_torn_multibyte_tail_is_skipped(tmp_path):
+    path = tmp_path / "c.jsonl"
+    whole = json.dumps({"backend_id": "g", "source_lang": "en", "target_lang": "fa",
+                        "source_text": "x", "target_text": "سلام"}, ensure_ascii=False).encode("utf-8")
+    # a crash inside the last two-byte letter leaves half of it on disk
+    torn = whole[:-3]
+    with pytest.raises(UnicodeDecodeError):
+        torn.decode("utf-8")
+    path.write_bytes(whole + b"\n" + torn)
+    with TranslationCache(str(path)) as cache:
+        assert cache.corrupt_lines == [2]
+        cache.store("g", "en", "fa", "a", "ب")
+    with TranslationCache(str(path)) as cache:
+        assert cache.lookup("g", "en", "fa", "x") == "سلام"
+        assert cache.lookup("g", "en", "fa", "a") == "ب"
+        assert cache.corrupt_lines == [2]
+
+
 def test_cache_advisory_lock(tmp_path):
     path = str(tmp_path / "c.jsonl")
     with TranslationCache(path):

@@ -1,9 +1,10 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
-from transproj import cli
+from transproj import cli, conll_io
 from transproj.conll_io import parse_conll
 
 
@@ -166,6 +167,13 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     {"parallel": 0},
     {"on-backend-error": "shrug"},
     {"normalize-iob1": "yes"},
+    {"backend": 123},
+    {"cache": ["x"]},
+    {"batch": True},
+    {"parallel": 2.7},
+    {"normalize-iob1": 1},
+    {"report": {}},
+    {"input-dev": 7},
 ])
 def test_config_file_rejects_bad_values(fixture_paths, tmp_path, overrides):
     config = {
@@ -294,3 +302,30 @@ def test_validate_ragged_line_is_parse_error(tmp_path):
 
 def test_validate_missing_file(tmp_path):
     assert cli.main(["validate", str(tmp_path / "none.conll")]) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    "http:{host}/translate",
+    "http:",
+    "http:ftp://{host}/translate",
+    "http:http://[{host}/translate",
+])
+def test_translate_rejects_http_backend_without_full_url(fixture_paths, tmp_path, stub_server, spec):
+    server = stub_server()
+    host = server.url.removeprefix("http://").removesuffix("/translate")
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=spec.format(host=host)))
+    assert code == 2
+    assert server.request_count == 0
+
+
+def test_translate_duration_is_wall_time(fixture_paths, tmp_path, monkeypatch):
+    parse = conll_io.parse_conll
+
+    def slow_parse(text, name="other"):
+        time.sleep(0.1)
+        return parse(text, name)
+
+    monkeypatch.setattr(conll_io, "parse_conll", slow_parse)
+    report_path = tmp_path / "report.json"
+    assert cli.main(translate_args(fixture_paths, tmp_path / "out", report=report_path)) == 0
+    assert json.loads(read(report_path))["duration_seconds"] >= 0.3

@@ -277,3 +277,99 @@ def test_mask_collision_matches_per_token_then_template_reference(s):
         with pytest.raises(PatternCollision) as exc:
             mask(s)
         assert str(exc.value) == expected
+
+
+def reference_unmask(template, entities, labels, origin_index=0):
+    """Pad-join-split reassembly: each hit becomes a space-padded private-use
+    sentinel, the text is split on whitespace, and a sentinel word expands
+    to its entity's tokens."""
+    from transproj.conll_io import Tag, TaggedSentence
+
+    if len(entities) != len(labels):
+        raise ValueError(f"{len(entities)} entity translations vs {len(labels)} labels")
+    for idx, entity in enumerate(entities):
+        if not entity.strip():
+            raise EmptyEntityTranslation(f"entity {idx} translated to whitespace")
+    hits = find_placeholders(template)
+    seen = set()
+    for hit in hits:
+        if hit.index >= len(entities):
+            raise UnknownIndex(f"placeholder index {hit.index} but only {len(entities)} entities")
+        if hit.index in seen:
+            raise DuplicateIndex(f"placeholder index {hit.index} occurs more than once")
+        seen.add(hit.index)
+    base = "\ue000"
+    while base in template:
+        base += "\ue000"
+    pieces, last = [], 0
+    for k, hit in enumerate(hits):
+        pieces += [template[last:hit.start], f" {base}{k} "]
+        last = hit.end
+    pieces.append(template[last:])
+    sentinel_to_hit = {f"{base}{k}": hit for k, hit in enumerate(hits)}
+    tokens, tags = [], []
+    for word in "".join(pieces).split():
+        hit = sentinel_to_hit.get(word)
+        if hit is None:
+            tokens.append(word)
+            tags.append(Tag.outside())
+        else:
+            for j, ent_word in enumerate(entities[hit.index].split()):
+                tokens.append(ent_word)
+                tags.append(Tag.begin(labels[hit.index]) if j == 0 else Tag.inside(labels[hit.index]))
+    return TaggedSentence(tokens, tags, origin_index)
+
+
+DIGIT_SETS = ("0123456789", "٠١٢٣٤٥٦٧٨٩", "۰۱۲۳۴۵۶۷۸۹")
+WHITESPACE = st.sampled_from([" ", "\t", "\u00a0", "\n"])
+OPTIONAL_SPACE = st.one_of(st.just(""), WHITESPACE)
+
+
+@st.composite
+def tolerant_placeholders(draw, max_index):
+    """``[*i*]`` spelled as an engine might return it: inner whitespace,
+    localized digits, a leading zero."""
+    digits = draw(st.sampled_from(DIGIT_SETS))
+    number = "".join(digits[int(d)] for d in str(draw(st.integers(0, max_index))))
+    if draw(st.booleans()):
+        number = digits[0] + number
+    a, b, c, d = (draw(OPTIONAL_SPACE) for _ in range(4))
+    return f"[{a}*{b}{number}{c}*{d}]"
+
+
+@st.composite
+def translated_templates(draw):
+    """A template with placeholders glued to punctuation or words, any
+    whitespace between pieces, and its entity translations and labels; now
+    and then an index out of range, a blank entity or a missing label."""
+    n = draw(st.integers(0, 4))
+    rare = st.integers(0, 19).map(lambda k: k == 19)
+    max_index = n if draw(rare) else n - 1
+    pieces = [SAFE_WORD, st.sampled_from([",", ".", "(", ")", "«", "»", "؟", "،", "[", "*", "\ue000"])]
+    if max_index >= 0:
+        pieces.append(tolerant_placeholders(max_index))
+    parts = draw(st.lists(st.tuples(st.one_of(pieces), OPTIONAL_SPACE), max_size=8))
+    template = "".join(p + sep for p, sep in parts)
+    entity = st.lists(st.tuples(OPTIONAL_SPACE, SAFE_WORD, WHITESPACE), min_size=1, max_size=3).map(
+        lambda words: "".join(a + w + b for a, w, b in words))
+    entities = [draw(WHITESPACE if draw(rare) else entity) for _ in range(n)]
+    labels = draw(st.lists(st.sampled_from(["PER", "LOC", "ORG"]), min_size=n, max_size=n))
+    if n and draw(rare):
+        labels = labels[1:]
+    return template, entities, labels
+
+
+def outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return out.tokens, [t.raw for t in out.tags], out.origin_index
+
+
+@given(translated_templates(), st.integers(0, 3))
+def test_unmask_matches_pad_join_split_reference(case, origin):
+    template, entities, labels = case
+    assert outcome(unmask, template, entities, labels, origin) == outcome(
+        reference_unmask, template, entities, labels, origin
+    )
