@@ -317,23 +317,34 @@ class TranslationCache:
                 self.corrupt_lines.append(line_no)
         self._fh.seek(0, os.SEEK_END)
 
+    _FIELDS = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
+    # The exact line ``store`` writes when no value needs a JSON escape; for
+    # such a line the groups are the strings ``json.loads`` would return.
+    _STORED_LINE = re.compile(
+        "{" + ", ".join(rf'"{f}": "([^"\\\x00-\x1f]*)"' for f in _FIELDS) + "}\n?"
+    )
+
     @staticmethod
     def _parse_line(line: bytes, line_no: int) -> tuple[tuple[str, str, str, str], str]:
         try:
             text = line.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise CacheCorrupt(line_no, f"not valid UTF-8 ({exc})") from exc
-        try:
-            record = json.loads(text)
-        except ValueError as exc:
-            raise CacheCorrupt(line_no, f"not valid JSON ({exc})") from exc
-        fields = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
-        if not isinstance(record, dict) or not all(isinstance(record.get(f), str) for f in fields):
-            raise CacheCorrupt(line_no, "missing or non-string record fields")
+        match = TranslationCache._STORED_LINE.fullmatch(text)
+        if match is not None:
+            values = match.groups()
+        else:
+            try:
+                record = json.loads(text)
+            except ValueError as exc:
+                raise CacheCorrupt(line_no, f"not valid JSON ({exc})") from exc
+            values = [record.get(f) for f in TranslationCache._FIELDS] if isinstance(record, dict) else [None]
+            if not all(isinstance(v, str) for v in values):
+                raise CacheCorrupt(line_no, "missing or non-string record fields")
+        backend_id, source_lang, target_lang, source_text, target_text = values
         # a file holds few distinct ids and language codes but many lines
-        key = (sys.intern(record["backend_id"]), sys.intern(record["source_lang"]),
-               sys.intern(record["target_lang"]), record["source_text"])
-        return key, record["target_text"]
+        key = (sys.intern(backend_id), sys.intern(source_lang), sys.intern(target_lang), source_text)
+        return key, target_text
 
     def lookup(self, backend_id: str, source_lang: str, target_lang: str, text: str) -> str | None:
         return self._index.get((backend_id, source_lang, target_lang, text))

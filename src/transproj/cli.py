@@ -204,15 +204,18 @@ def _make_backend(spec: str, batch: int) -> backends.Backend:
     raise ConfigError(f"unknown backend spec {spec!r}")
 
 
-def _read_split(path: str, name: str) -> conll_io.DatasetSplit:
+def _read_text(path: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
     with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
             raise conll_io.ConllError(f"{path}: not valid UTF-8 ({exc})")
-    return conll_io.parse_conll(text, name)
+
+
+def _read_split(path: str, name: str) -> conll_io.DatasetSplit:
+    return conll_io.parse_conll(_read_text(path), name)
 
 
 def cmd_translate(args) -> int:
@@ -335,11 +338,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    if not os.path.exists(args.path):
-        raise ConfigError(f"input file not found: {args.path}")
-    with open(args.path, encoding="utf-8") as fh:
-        text = fh.read()
-    split, line_map = conll_io.parse_conll_with_lines(text)
+    split, line_map = conll_io.parse_conll_with_lines(_read_text(args.path))
     n = 0
     for sentence, lines in zip(split.sentences, line_map):
         for violation in conll_io.validate_scheme(sentence):

@@ -2,11 +2,15 @@ import json
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from transproj import backends
 from transproj.backends import (
     BackendCounters,
     BackendProtocol,
     BackendUnavailable,
+    CacheCorrupt,
     CacheLocked,
     DictionaryBackend,
     HttpBackend,
@@ -231,6 +235,96 @@ def test_cache_keys_distinguish_dictionaries(tmp_path):
         counters = BackendCounters()
         translate_batch(request, DictionaryBackend({"dog": "Hund"}), cache, counters)
         assert counters.cache_hits == 1
+
+
+def test_cache_lines_written_by_store_reload_without_json_decoding(tmp_path, monkeypatch):
+    path = str(tmp_path / "c.jsonl")
+    with TranslationCache(path) as cache:
+        for i in range(20):
+            cache.store("dict:0123456789ab", "en", "fa", f"[*0*] word {i}", f"کلمه {i} [*0*]")
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(backends.json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    with TranslationCache(path) as cache:
+        assert cache.lookup("dict:0123456789ab", "en", "fa", "[*0*] word 7") == "کلمه 7 [*0*]"
+    # if store() and the line pattern drift apart, every line goes through JSON
+    assert calls == []
+
+    with TranslationCache(path) as cache:
+        cache.store("g", "en", "fa", 'say "hi"', "x")
+    with TranslationCache(path) as cache:
+        assert cache.lookup("g", "en", "fa", 'say "hi"') == "x"
+        assert cache.corrupt_lines == []
+    assert calls == [1]
+
+
+_CACHE_FIELDS = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
+
+
+def _json_parse_line(line: bytes, line_no: int):
+    """Reference reading of a cache line: every line through ``json.loads``
+    and the field checks, with no fast path."""
+    try:
+        text = line.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CacheCorrupt(line_no, f"not valid UTF-8 ({exc})") from exc
+    try:
+        record = json.loads(text)
+    except ValueError as exc:
+        raise CacheCorrupt(line_no, f"not valid JSON ({exc})") from exc
+    if not isinstance(record, dict) or not all(isinstance(record.get(f), str) for f in _CACHE_FIELDS):
+        raise CacheCorrupt(line_no, "missing or non-string record fields")
+    key = (record["backend_id"], record["source_lang"], record["target_lang"], record["source_text"])
+    return key, record["target_text"]
+
+
+def _encode(text: str) -> bytes:
+    # lone surrogates survive as bytes that are not valid UTF-8
+    return text.encode("utf-8", "surrogatepass")
+
+
+def _store_form(record: dict) -> bytes:
+    return _encode(json.dumps(record, ensure_ascii=False) + "\n")
+
+
+_CACHE_LINE_VARIANTS = {
+    "store": lambda r, d: _store_form(r),
+    "ascii": lambda r, d: _encode(json.dumps(r) + "\n"),
+    "compact": lambda r, d: _encode(json.dumps(r, ensure_ascii=False, separators=(",", ":")) + "\n"),
+    "reversed keys": lambda r, d: _store_form(dict(reversed(r.items()))),
+    "extra key": lambda r, d: _store_form({**r, "note": "x"}),
+    "duplicate target_text": lambda r, d: _encode(
+        json.dumps(r, ensure_ascii=False)[:-1] + ', "target_text": "dup"}\n'),
+    "non-string field": lambda r, d: _store_form(
+        {**r, d.draw(st.sampled_from(_CACHE_FIELDS)): d.draw(st.sampled_from([None, 1, 1.5, [], {}, True]))}),
+    "crlf": lambda r, d: _encode(json.dumps(r, ensure_ascii=False) + "\r\n"),
+    "leading space": lambda r, d: b" " + _store_form(r),
+    "trailing space": lambda r, d: _encode(json.dumps(r, ensure_ascii=False) + " \n"),
+    "truncated": lambda r, d: (lambda b: b[:d.draw(st.integers(0, len(b)))])(_store_form(r)),
+    # written by hand, with no JSON escaping at all
+    "unescaped": lambda r, d: _encode("{" + ", ".join(f'"{k}": "{v}"' for k, v in r.items()) + "}\n"),
+}
+
+_cache_text = st.text(alphabet=st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\r", "\t", "\x1f", "\x7f", "\xa0", "\u2028",
+                     "\u200c", "\U0001f600", "\ud800", "\udfff", "a", "ب", " ", "{", "}", ":", ","]),
+    st.characters(),
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_cache_text, min_size=5, max_size=5),
+       variant=st.sampled_from(sorted(_CACHE_LINE_VARIANTS)), data=st.data())
+def test_cache_parse_line_agrees_with_json_decoding(values, variant, data):
+    line = _CACHE_LINE_VARIANTS[variant](dict(zip(_CACHE_FIELDS, values)), data)
+    try:
+        expected = _json_parse_line(line, 7)
+    except CacheCorrupt as exc:
+        with pytest.raises(CacheCorrupt) as raised:
+            TranslationCache._parse_line(line, 7)
+        assert str(raised.value) == str(exc)
+    else:
+        assert TranslationCache._parse_line(line, 7) == expected
 
 
 # --- token bucket ----------------------------------------------------------------

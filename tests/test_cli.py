@@ -304,6 +304,13 @@ def test_validate_missing_file(tmp_path):
     assert cli.main(["validate", str(tmp_path / "none.conll")]) == 2
 
 
+def test_validate_invalid_utf8_is_parse_error(tmp_path, capsys):
+    path = tmp_path / "bad.conll"
+    path.write_bytes(b"word O\n\xff\xfe broken O\n")
+    assert cli.main(["validate", str(path)]) == 3
+    assert f"parse error: {path}: not valid UTF-8 (" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("spec", [
     "http:{host}/translate",
     "http:",
