@@ -237,10 +237,17 @@ def cmd_translate(args) -> int:
 
     backend = _make_backend(cfg["backend"], cfg["batch"])
     # run-wide memo even without a cache file ("" in a config file means
-    # none): a surface repeated across splits is translated only once per run
-    cache = backends.TranslationCache(cfg["cache"] or None)
+    # none): a surface repeated across splits is translated only once per run.
+    # A run can only hit its own backend and language pair, so only that
+    # scope of a cache file is indexed.
+    scope = (backend.backend_id, cfg["src"], cfg["tgt"]) if cfg["cache"] else None
+    cache = backends.TranslationCache(cfg["cache"] or None, scope=scope)
 
-    report = pipeline.RunReport(config=cfg)
+    report = pipeline.RunReport(
+        config=cfg,
+        cache_entries_loaded=cache.entries_loaded,
+        cache_corrupt_lines=cache.corrupt_lines,
+    )
     exclusion_records = []
     out_dir = cfg["out"]
     os.makedirs(out_dir, exist_ok=True)

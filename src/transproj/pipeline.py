@@ -85,6 +85,10 @@ class RunReport:
     backend_calls: int = 0
     texts_translated: int = 0
     cache_hits: int = 0
+    # what opening the translation memory found: entries indexed for the
+    # run's scope, and the skipped lines of every scope
+    cache_entries_loaded: int = 0
+    cache_corrupt_lines: list[int] = field(default_factory=list)
     duration_seconds: float = 0.0
     config: dict | None = None
 
@@ -115,6 +119,10 @@ class RunReport:
             "backend_calls": self.backend_calls,
             "texts_translated": self.texts_translated,
             "cache_hits": self.cache_hits,
+            "cache": {
+                "entries_loaded": self.cache_entries_loaded,
+                "corrupt_lines": self.cache_corrupt_lines,
+            },
             "duration_seconds": round(self.duration_seconds, 3),
             "config": self.config,
         }
@@ -132,6 +140,10 @@ class RunReport:
         lines.append(
             f"backend: {self.backend_calls} calls, {self.texts_translated} texts translated, "
             f"{self.cache_hits} cache hits"
+        )
+        lines.append(
+            f"cache: {self.cache_entries_loaded} entries loaded, "
+            f"{len(self.cache_corrupt_lines)} corrupt lines skipped"
         )
         lines.append(f"duration: {self.duration_seconds:.2f} s")
         return "\n".join(lines) + "\n"

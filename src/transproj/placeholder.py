@@ -26,9 +26,6 @@ REASON_DUPLICATE = "duplicate-placeholder"
 _DIGITS = "0-9٠-٩۰-۹"
 PLACEHOLDER_RE = re.compile(rf"\[\s*\*\s*([{_DIGITS}]+)\s*\*\s*\]")
 
-_DIGIT_MAP = {chr(0x0660 + i): str(i) for i in range(10)}
-_DIGIT_MAP.update({chr(0x06F0 + i): str(i) for i in range(10)})
-
 
 class PatternCollision(ValueError):
     pass
@@ -71,14 +68,11 @@ def placeholder(index: int) -> str:
 def find_placeholders(text: str) -> list[PlaceholderHit]:
     """Scan left to right for tolerant placeholder matches.
 
-    Indices are normalized to ASCII decimal; regions that do not parse are
-    simply not hits.
+    Indices are read as decimal numbers (``int`` reads every digit script
+    the grammar admits); regions that do not parse are simply not hits.
     """
-    hits = []
-    for m in PLACEHOLDER_RE.finditer(text):
-        digits = "".join(_DIGIT_MAP.get(ch, ch) for ch in m.group(1))
-        hits.append(PlaceholderHit(int(digits), m.start(), m.end(), m.group(0)))
-    return hits
+    return [PlaceholderHit(int(m.group(1)), m.start(), m.end(), m.group(0))
+            for m in PLACEHOLDER_RE.finditer(text)]
 
 
 def mask(sentence: TaggedSentence) -> MaskedSentence:

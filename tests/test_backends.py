@@ -1,5 +1,10 @@
+import io
 import json
+import os
+import tempfile
 import time
+import types
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -325,6 +330,152 @@ def test_cache_parse_line_agrees_with_json_decoding(values, variant, data):
         assert str(raised.value) == str(exc)
     else:
         assert TranslationCache._parse_line(line, 7) == expected
+
+
+def test_cache_scope_indexes_only_its_entries(tmp_path):
+    path = str(tmp_path / "c.jsonl")
+    with TranslationCache(path) as cache:
+        cache.store("g", "en", "fa", "x", "y")
+        cache.store("g", "en", "de", "x", "z")
+        cache.store("h", "en", "fa", 'say "hi"', "w")
+    with TranslationCache(path, scope=("g", "en", "fa")) as cache:
+        assert cache._index == {("g", "en", "fa", "x"): "y"}
+        assert cache.entries_loaded == 1
+        assert cache.lookup("g", "en", "fa", "x") == "y"
+    with TranslationCache(path, scope=("h", "en", "fa")) as cache:
+        assert cache.lookup("h", "en", "fa", 'say "hi"') == "w"
+    with TranslationCache(path) as cache:
+        assert cache.entries_loaded == 3
+
+
+@pytest.mark.parametrize("path", [None, "c.jsonl"])
+def test_cache_scope_rejects_lookup_and_store_outside_it(tmp_path, path):
+    with TranslationCache(path and str(tmp_path / path), scope=("g", "en", "fa")) as cache:
+        with pytest.raises(ValueError, match="outside the cache scope"):
+            cache.lookup("g", "en", "de", "x")
+        with pytest.raises(ValueError, match="outside the cache scope"):
+            cache.store("h", "en", "fa", "x", "y")
+        assert cache.lookup("g", "en", "fa", "x") is None
+    if path:
+        assert (tmp_path / path).read_bytes() == b""
+
+
+_SCOPES = (("g", "en", "fa"), ("g", "en", "de"), ("h", "en", "fa"))
+
+
+def _reference_load(data: bytes, scope):
+    """The file read one line at a time, every non-blank line through
+    ``_parse_line``: (index, corrupt_lines, torn_tail)."""
+    index, corrupt, line = {}, [], b""
+    for line_no, line in enumerate(io.BytesIO(data), start=1):
+        if not line.strip():
+            continue
+        try:
+            key, value = TranslationCache._parse_line(line, line_no)
+        except CacheCorrupt:
+            corrupt.append(line_no)
+            continue
+        if scope is None or key[:3] == scope:
+            index[key] = value
+    return index, corrupt, bool(line) and not line.endswith(b"\n")
+
+
+def _load_file(data: bytes, scope):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        with TranslationCache(path, scope=scope) as cache:
+            assert cache.entries_loaded == len(cache._index)
+            return cache._index, cache.corrupt_lines, cache._torn_tail
+
+
+_record = st.builds(
+    lambda scope, texts: dict(zip(_CACHE_FIELDS, (*scope, *texts))),
+    st.one_of(st.sampled_from(_SCOPES), st.tuples(_cache_text, _cache_text, _cache_text)),
+    st.tuples(st.one_of(st.sampled_from(["x", "y", 'say "hi"', "a\\b"]), _cache_text), _cache_text),
+)
+
+_ODD_LINES = [b"\n", b"  \n", b"\t\r\n", "\xa0\n".encode(), b"\xff\xfe not utf-8\n",
+              "\u0628\n".encode()[1:], b"garbage\n", b"{}\n", b"[1]\n"]
+
+
+@st.composite
+def _cache_file_line(draw):
+    """One line of a memory file: any writer's form of a record, a blank or
+    odd line, or arbitrary bytes (which may hold newlines or none)."""
+    kind = draw(st.sampled_from(["store", "variant", "odd", "bytes"]))
+    if kind == "odd":
+        return draw(st.sampled_from(_ODD_LINES))
+    if kind == "bytes":
+        return draw(st.binary(max_size=40))
+    variant = "store" if kind == "store" else draw(st.sampled_from(sorted(_CACHE_LINE_VARIANTS)))
+    return _CACHE_LINE_VARIANTS[variant](draw(_record), types.SimpleNamespace(draw=draw))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_cache_file_line(), max_size=12), torn=st.booleans(),
+       chunk=st.sampled_from([1, 2, 7, 64, 512, 1 << 18]))
+def test_cache_block_loader_agrees_with_parse_line(lines, torn, chunk):
+    data = b"".join(lines)
+    if torn and data.endswith(b"\n"):
+        data = data[:-1]
+    with mock.patch.object(TranslationCache, "_CHUNK", chunk):
+        for scope in (None, _SCOPES[0]):
+            assert _load_file(data, scope) == _reference_load(data, scope)
+
+
+_stored_text = st.text(alphabet=st.one_of(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\u2028", "\xa0", "ب", "\U0001f600", " "]),
+    st.characters(blacklist_categories=("Cs",)),
+))
+
+
+@settings(max_examples=200, deadline=None)
+@given(records=st.lists(st.tuples(st.sampled_from(_SCOPES), _stored_text, _stored_text),
+                        min_size=1, max_size=6),
+       data=st.data())
+def test_cache_cut_at_any_byte_keeps_whole_records(records, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        with TranslationCache(path) as cache:
+            for scope, text, translation in records:
+                cache.store(*scope, text, translation)
+        with open(path, "rb") as fh:
+            whole = fh.read()
+        # a crash may stop the writes after any byte
+        cut = data.draw(st.integers(0, len(whole)), label="cut")
+        with open(path, "wb") as fh:
+            fh.write(whole[:cut])
+
+        # a record is whole once every byte before its newline is on disk
+        expected, written, partial = {}, 0, False
+        for (scope, text, translation), line in zip(records, io.BytesIO(whole)):
+            if written + len(line) - 1 <= cut:
+                expected[(*scope, text)] = translation
+            elif written < cut:
+                partial = True
+            written += len(line)
+        # the cut line, if any, is the last one left
+        corrupt = [whole[:cut].count(b"\n") + 1] if partial else []
+
+        for scope in (None, *_SCOPES):
+            with TranslationCache(path, scope=scope) as cache:
+                assert cache._index == {k: v for k, v in expected.items()
+                                        if scope is None or k[:3] == scope}
+                assert cache.corrupt_lines == corrupt
+
+        scope = data.draw(st.sampled_from(_SCOPES), label="scope")
+        with TranslationCache(path, scope=scope) as cache:
+            cache.store(*scope, "next", "record")
+        with open(path, "rb") as fh:
+            after = fh.read()
+        line = _store_form(dict(zip(_CACHE_FIELDS, (*scope, "next", "record"))))
+        torn = cut > 0 and not whole[:cut].endswith(b"\n")
+        assert after == whole[:cut] + (b"\n" if torn else b"") + line
+        with TranslationCache(path) as cache:
+            assert cache._index == {**expected, (*scope, "next"): "record"}
+            assert cache.corrupt_lines == corrupt
 
 
 # --- token bucket ----------------------------------------------------------------

@@ -205,6 +205,28 @@ def test_translate_report_accounting(fixture_paths, tmp_path):
         assert counts["projected"] + counts["excluded"] == counts["total"] == expected
 
 
+def test_translate_report_shows_loaded_scope_and_every_corrupt_line(fixture_paths, tmp_path, capsys):
+    def record(tgt, text):
+        return json.dumps({"backend_id": "identity", "source_lang": "en", "target_lang": tgt,
+                           "source_text": text, "target_text": text})
+
+    memory = tmp_path / "memory.jsonl"
+    memory.write_text("\n".join([
+        record("fa", "kept one"),
+        record("de", "other one"),
+        record("de", "other two"),
+        # a record of the en/de scope whose translation is not a string
+        record("de", "broken").replace('"target_text": "broken"', '"target_text": 5'),
+        record("fa", "kept two"),
+    ]) + "\n", encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", cache=memory, report=report_path))
+    assert code == 0
+    report = json.loads(read(report_path))
+    assert report["cache"] == {"entries_loaded": 2, "corrupt_lines": [4]}
+    assert "cache: 2 entries loaded, 1 corrupt lines skipped" in capsys.readouterr().out
+
+
 def test_translate_batch_and_parallel_do_not_change_output(fixture_paths, tmp_path):
     cli.main(translate_args(fixture_paths, tmp_path / "a", backend="scramble:2"))
     cli.main(translate_args(fixture_paths, tmp_path / "b", backend="scramble:2",
