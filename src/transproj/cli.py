@@ -186,7 +186,10 @@ def _make_backend(spec: str, batch: int) -> backends.Backend:
             raise ConfigError("dict backend needs a path: dict:<path>")
         if not os.path.exists(rest):
             raise ConfigError(f"dictionary file not found: {rest}")
-        return backends.DictionaryBackend.from_file(rest)
+        try:
+            return backends.DictionaryBackend.from_file(rest)
+        except ValueError as exc:  # a line without a tab, or bytes that are not UTF-8
+            raise ConfigError(f"malformed dictionary file {rest}: {exc}")
     if kind == "scramble":
         try:
             return backends.ScramblerBackend(int(rest))

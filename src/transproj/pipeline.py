@@ -82,9 +82,9 @@ class SplitCounts:
 class RunReport:
     splits: dict[str, SplitCounts] = field(default_factory=dict)
     reasons: Counter = field(default_factory=Counter)
-    backend_calls: int = 0
-    texts_translated: int = 0
-    cache_hits: int = 0
+    # the run's one tally of backend calls, texts translated and cache hits:
+    # project_split hands it to translate_batch, and merge adds into it
+    counters: BackendCounters = field(default_factory=BackendCounters)
     # what opening the translation memory found: entries indexed for the
     # run's scope, and the skipped lines of every scope
     cache_entries_loaded: int = 0
@@ -100,9 +100,9 @@ class RunReport:
             mine.excluded += counts.excluded
             mine.dropped_empty += counts.dropped_empty
         self.reasons.update(other.reasons)
-        self.backend_calls += other.backend_calls
-        self.texts_translated += other.texts_translated
-        self.cache_hits += other.cache_hits
+        theirs = other.counters
+        self.counters.add(hits=theirs.cache_hits, calls=theirs.backend_calls,
+                          texts=theirs.texts_translated)
 
     def to_dict(self) -> dict:
         return {
@@ -116,9 +116,9 @@ class RunReport:
                 for name, c in self.splits.items()
             },
             "exclusions_by_reason": dict(self.reasons),
-            "backend_calls": self.backend_calls,
-            "texts_translated": self.texts_translated,
-            "cache_hits": self.cache_hits,
+            "backend_calls": self.counters.backend_calls,
+            "texts_translated": self.counters.texts_translated,
+            "cache_hits": self.counters.cache_hits,
             "cache": {
                 "entries_loaded": self.cache_entries_loaded,
                 "corrupt_lines": self.cache_corrupt_lines,
@@ -138,8 +138,8 @@ class RunReport:
         else:
             lines.append("exclusions by reason: none")
         lines.append(
-            f"backend: {self.backend_calls} calls, {self.texts_translated} texts translated, "
-            f"{self.cache_hits} cache hits"
+            f"backend: {self.counters.backend_calls} calls, "
+            f"{self.counters.texts_translated} texts translated, {self.counters.cache_hits} cache hits"
         )
         lines.append(
             f"cache: {self.cache_entries_loaded} entries loaded, "
@@ -149,14 +149,15 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _prepare(sentence: TaggedSentence) -> tuple[MaskedSentence | None, str | None, str | None]:
-    """Stages before translation: (masked, reason, detail)."""
+def _prepare(sentence: TaggedSentence) -> MaskedSentence | ProjectionOutcome:
+    """Stages before translation: the masked sentence, or the outcome that excludes it."""
+    origin = sentence.origin_index
     try:
-        return ph.mask(sentence), None, None
+        return ph.mask(sentence)
     except InvalidScheme as exc:
-        return None, REASON_INVALID_SCHEME, exc.violations[0].message
+        return ProjectionOutcome(origin, reason=REASON_INVALID_SCHEME, detail=exc.violations[0].message)
     except ph.PatternCollision as exc:
-        return None, REASON_PATTERN_COLLISION, str(exc)
+        return ProjectionOutcome(origin, reason=REASON_PATTERN_COLLISION, detail=str(exc))
 
 
 def _finish(
@@ -191,17 +192,14 @@ def project_sentence(
     target_lang: str,
     *,
     cache: TranslationCache | None = None,
-    counters: BackendCounters | None = None,
     on_error: str = POLICY_LENIENT,
 ) -> ProjectionOutcome:
     """Project one sentence as a one-sentence split; every failure mode is an
     Excluded outcome except backend failure under the strict policy, which raises AbortedRun."""
-    _, outcomes, report = project_split(
+    _, outcomes, _ = project_split(
         DatasetSplit("sentence", [sentence]), backend, source_lang, target_lang,
         cache=cache, on_error=on_error,
     )
-    if counters is not None:
-        counters.add(hits=report.cache_hits, calls=report.backend_calls, texts=report.texts_translated)
     return outcomes[0]
 
 
@@ -229,17 +227,17 @@ def project_split(
         raise ValueError("batch must be >= 1")
     started = time.monotonic()
 
-    prepared: list[tuple[TaggedSentence, MaskedSentence | None, str | None, str | None]] = []
+    prepared: list[tuple[TaggedSentence, MaskedSentence | ProjectionOutcome]] = []
     unique: dict[str, None] = {}
     for sentence in split.sentences:
-        masked, reason, detail = _prepare(sentence)
-        prepared.append((sentence, masked, reason, detail))
-        if masked is not None:
+        masked = _prepare(sentence)
+        prepared.append((sentence, masked))
+        if isinstance(masked, MaskedSentence):
             unique.setdefault(masked.template)
             for span in masked.entities:
                 unique.setdefault(span.surface)
 
-    counters = BackendCounters()
+    report = RunReport()
     unique_texts = list(unique)
     batches = [unique_texts[i:i + batch] for i in range(0, len(unique_texts), batch)]
     translations: dict[str, str] = {}
@@ -250,7 +248,7 @@ def project_split(
         fails, so one failed batch does not raise inside the pool."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
         try:
-            return texts, translate_batch(request, backend, cache, counters), None
+            return texts, translate_batch(request, backend, cache, report.counters), None
         except BackendError as exc:
             return texts, None, str(exc)
 
@@ -267,9 +265,9 @@ def project_split(
                     failures[t] = error
 
     outcomes: list[ProjectionOutcome] = []
-    for sentence, masked, reason, detail in prepared:
-        if masked is None:
-            outcomes.append(ProjectionOutcome(sentence.origin_index, reason=reason, detail=detail))
+    for sentence, masked in prepared:
+        if isinstance(masked, ProjectionOutcome):
+            outcomes.append(masked)
             continue
         texts = [masked.template] + [e.surface for e in masked.entities]
         failed = next((t for t in texts if t in failures), None)
@@ -288,17 +286,12 @@ def project_split(
         [replace(s, origin_index=i) for i, s in enumerate(projected)],
     )
 
-    report = RunReport()
-    counts = SplitCounts(
+    report.splits[split.name] = SplitCounts(
         total=len(split.sentences),
         projected=len(projected),
         excluded=len(outcomes) - len(projected),
         dropped_empty=split.dropped_empty,
     )
-    report.splits[split.name] = counts
     report.reasons.update(o.reason for o in outcomes if o.reason)
-    report.backend_calls = counters.backend_calls
-    report.texts_translated = counters.texts_translated
-    report.cache_hits = counters.cache_hits
     report.duration_seconds = time.monotonic() - started
     return out_split, outcomes, report

@@ -96,17 +96,17 @@ def mask(sentence: TaggedSentence) -> MaskedSentence:
             i += 1
     template = " ".join(parts)
 
-    # A source token that reads as a placeholder, alone or joined with its
-    # neighbours ("[*" + "0*]"), adds a hit to the template or, inside an
-    # entity, a match to its surface; only then are tokens searched one by one.
-    aligned = [h.index for h in find_placeholders(template)] == list(range(len(spans)))
-    if not aligned or any(PLACEHOLDER_RE.search(span.surface) for span in spans):
+    # Every placeholder match starts with a literal "[", so only a source
+    # token holding one can collide, alone or joined with its neighbours
+    # ("[*" + "0*]"); without one the template's hits are exactly its own
+    # placeholders, in order.
+    if any("[" in token for token in sentence.tokens):
         for pos, token in enumerate(sentence.tokens):
             if PLACEHOLDER_RE.search(token):
                 raise PatternCollision(
                     f"token {token!r} at position {pos} matches the placeholder pattern"
                 )
-        if not aligned:
+        if [h.index for h in find_placeholders(template)] != list(range(len(spans))):
             raise PatternCollision("source tokens combine into a placeholder-like pattern")
 
     return MaskedSentence(template, tuple(spans))

@@ -205,6 +205,45 @@ def test_translate_report_accounting(fixture_paths, tmp_path):
         assert counts["projected"] + counts["excluded"] == counts["total"] == expected
 
 
+@pytest.mark.parametrize("content", [b"dog\tHund\nno tab here\n", b"dog\tH\xffund\n"],
+                         ids=["line-without-tab", "not-utf8"])
+def test_translate_rejects_malformed_dictionary_file(fixture_paths, tmp_path, capsys, content):
+    tsv = tmp_path / "dict.tsv"
+    tsv.write_bytes(content)
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"dict:{tsv}"))
+    assert code == 2
+    assert str(tsv) in capsys.readouterr().err
+
+
+def test_translate_report_counts_backend_calls_texts_and_cache_hits(tmp_path, capsys):
+    train = tmp_path / "train.conll"
+    train.write_text("John B-PER\nlives O\nin O\nBerlin B-LOC\n", encoding="utf-8")
+    dev = tmp_path / "dev.conll"
+    dev.write_text("John B-PER\nleft O\n", encoding="utf-8")
+    memory = tmp_path / "memory.jsonl"
+
+    def run(name):
+        report_path = tmp_path / f"{name}.json"
+        code = cli.main([
+            "translate", "--input-train", str(train), "--input-dev", str(dev),
+            "--out", str(tmp_path / name), "--src", "en", "--tgt", "fa",
+            "--backend", "identity", "--cache", str(memory), "--report", str(report_path),
+        ])
+        assert code == 0
+        return json.loads(read(report_path)), capsys.readouterr().out
+
+    # cold: train sends its template, "John" and "Berlin" in one call; dev
+    # finds "John" in the run's memory and sends only its template
+    report, out = run("cold")
+    assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (2, 4, 1)
+    assert "backend: 2 calls, 4 texts translated, 1 cache hits" in out
+    # warm: every one of the five texts the two splits reference is a hit
+    report, out = run("warm")
+    assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (0, 0, 5)
+    assert report["cache"]["entries_loaded"] == 4
+    assert "backend: 0 calls, 0 texts translated, 5 cache hits" in out
+
+
 def test_translate_report_shows_loaded_scope_and_every_corrupt_line(fixture_paths, tmp_path, capsys):
     def record(tgt, text):
         return json.dumps({"backend_id": "identity", "source_lang": "en", "target_lang": tgt,

@@ -334,12 +334,17 @@ def test_each_sentence_is_validated_once(monkeypatch):
     assert calls["validate_scheme"] == 3
 
 
-def test_each_projected_sentence_is_scanned_twice(monkeypatch):
-    # once for the masked source template, once for the translated one
+def test_each_translated_template_is_scanned_once_and_a_source_only_with_a_bracket(monkeypatch):
+    # every placeholder match starts with "[", so the masked source template
+    # is scanned for collisions only when a source token holds one
     calls = count_calls(monkeypatch, "find_placeholders")
     out, _, _ = project_split(mixed_split(), IdentityBackend(), "en", "fa")
     assert len(out) == 3
-    assert calls["find_placeholders"] == 6
+    assert calls["find_placeholders"] == 3
+    bracket = DatasetSplit("train", [sent(["John", "x[1]"], ["B-PER", "O"], 0)])
+    out, _, _ = project_split(bracket, IdentityBackend(), "en", "fa")
+    assert out.sentences[0].tokens == ["John", "x[1]"]
+    assert calls["find_placeholders"] == 5
 
 
 # --- properties --------------------------------------------------------------
