@@ -253,10 +253,11 @@ def cmd_translate(args) -> int:
     )
     exclusion_records = []
     out_dir = cfg["out"]
-    os.makedirs(out_dir, exist_ok=True)
     # outputs are renamed into place only once every split has finished
     staged: list[str] = []
     try:
+        # inside the try, so the cache is closed when --out cannot be made
+        os.makedirs(out_dir, exist_ok=True)
         for name, split in splits.items():
             projected, outcomes, part = pipeline.project_split(
                 split,

@@ -217,9 +217,11 @@ def project_split(
     """Project a whole split.
 
     Unique texts are collected across the split (each surface translated at
-    most once per run), batched ``batch`` at a time, and translated on up to
-    ``parallelism`` workers. Output order, and output bytes, do not depend
-    on parallelism for a deterministic backend.
+    most once per run) and looked up in ``cache`` once each. Only the misses
+    are sent to the backend, ``batch`` at a time on up to ``parallelism``
+    workers, so a failed request excludes only sentences that need one of
+    its texts. Output order, and output bytes, do not depend on parallelism
+    for a deterministic backend.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -238,19 +240,33 @@ def project_split(
                 unique.setdefault(span.surface)
 
     report = RunReport()
-    unique_texts = list(unique)
-    batches = [unique_texts[i:i + batch] for i in range(0, len(unique_texts), batch)]
+    backend_id = backend.backend_id
     translations: dict[str, str] = {}
+    misses: list[str] = []
+    for text in unique:
+        cached = None if cache is None else cache.lookup(backend_id, source_lang, target_lang, text)
+        if cached is None:
+            misses.append(text)
+        else:
+            translations[text] = cached
+    report.counters.add(hits=len(translations))
+    batches = [misses[i:i + batch] for i in range(0, len(misses), batch)]
     failures: dict[str, str] = {}
 
     def run_batch(texts: list[str]):
         """(texts, translations, None), or (texts, None, error) when the backend
-        fails, so one failed batch does not raise inside the pool."""
+        fails, so one failed batch does not raise inside the pool. The texts
+        are all misses, so translate_batch gets no cache to look them up in
+        again; they are stored here, as soon as their batch returns."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
         try:
-            return texts, translate_batch(request, backend, cache, report.counters), None
+            result = translate_batch(request, backend, None, report.counters)
         except BackendError as exc:
             return texts, None, str(exc)
+        if cache is not None:
+            for text, out in zip(texts, result):
+                cache.store(backend_id, source_lang, target_lang, text, out)
+        return texts, result, None
 
     if batches:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from transproj import cli, conll_io
+from transproj import backends, cli, conll_io, placeholder
 from transproj.conll_io import parse_conll
 
 
@@ -264,6 +264,55 @@ def test_translate_report_shows_loaded_scope_and_every_corrupt_line(fixture_path
     report = json.loads(read(report_path))
     assert report["cache"] == {"entries_loaded": 2, "corrupt_lines": [4]}
     assert "cache: 2 entries loaded, 1 corrupt lines skipped" in capsys.readouterr().out
+
+
+def test_translate_releases_the_cache_when_out_cannot_be_made(fixture_paths, tmp_path, capsys):
+    memory = tmp_path / "c.jsonl"
+    not_a_dir = tmp_path / "out"
+    not_a_dir.write_text("", encoding="utf-8")
+    code = cli.main(translate_args(fixture_paths, not_a_dir, cache=memory))
+    assert code == 5
+    assert "i/o error" in capsys.readouterr().err
+    # the run closed the file, so its lock is free at once
+    backends.TranslationCache(str(memory)).close()
+
+
+def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, tmp_path, stub_server):
+    stub = stub_server()
+    backend_id = f"http:{stub.url}"
+    batch = 4
+    # each split's unique texts in the order the run first meets them
+    split_texts = {}
+    for name, path in fixture_paths.items():
+        texts = split_texts[name] = {}
+        for s in conll_io.parse_conll(read(path), name).sentences:
+            masked = placeholder.mask(s)
+            texts.update(dict.fromkeys([masked.template] + [e.surface for e in masked.entities]))
+    unique = list(dict.fromkeys(t for texts in split_texts.values() for t in texts))
+    memory, expected = tmp_path / "c.jsonl", tmp_path / "expected.jsonl"
+    with backends.TranslationCache(str(memory)) as cache:
+        for text in unique[::2]:
+            cache.store(backend_id, "en", "fa", text, text)
+    expected.write_bytes(memory.read_bytes())
+
+    # what one request per batch of misses adds: each split's misses in
+    # order, a text met in an earlier split being in the run's memory by then
+    known, posts = set(unique[::2]), 0
+    with backends.TranslationCache(str(expected)) as cache:
+        for texts in split_texts.values():
+            misses = [t for t in texts if t not in known]
+            posts += -(-len(misses) // batch)
+            for text in misses:
+                cache.store(backend_id, "en", "fa", text, text)
+            known.update(misses)
+
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"http:{stub.url}",
+                                   cache=memory, batch=batch, parallel=1))
+    assert code == 0
+    assert stub.request_count == posts
+    assert memory.read_bytes() == expected.read_bytes()
+    for name, source in fixture_paths.items():
+        assert read(tmp_path / "out" / f"{name}.conll") == read(source)
 
 
 def test_translate_batch_and_parallel_do_not_change_output(fixture_paths, tmp_path):

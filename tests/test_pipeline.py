@@ -1,11 +1,17 @@
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from transproj import conll_io, pipeline, placeholder, spans
-from transproj.backends import BackendUnavailable, DictionaryBackend, IdentityBackend, ScramblerBackend
+from transproj.backends import (
+    BackendUnavailable,
+    DictionaryBackend,
+    IdentityBackend,
+    MemoryCache,
+    ScramblerBackend,
+)
 from transproj.conll_io import DatasetSplit, InvalidSentence, parse_conll, serialize_conll, validate_scheme
 from transproj.pipeline import (
     REASON_BACKEND_FAILURE,
@@ -256,6 +262,26 @@ def test_split_lenient_policy_excludes_all_affected():
     assert report.reasons[REASON_BACKEND_FAILURE] == 2
 
 
+def masked_texts(s):
+    """The texts project_split sends for one sentence: template, then entity surfaces."""
+    masked = mask(s)
+    return [masked.template] + [e.surface for e in masked.entities]
+
+
+def test_cached_sentence_survives_a_failing_request():
+    # only misses ride in a request, so the failure cannot reach the cached sentence
+    cached, uncached = john(0), sent(["Mary", "left"], ["B-PER", "O"], origin=1)
+    memo = MemoryCache()
+    for text in masked_texts(cached):
+        memo.store(FailingBackend.backend_id, "en", "fa", text, text)
+    split = DatasetSplit("train", [cached, uncached])
+    out, outcomes, report = project_split(split, FailingBackend(), "en", "fa", cache=memo)
+    assert outcomes[0].projected
+    assert out.sentences[0].tokens == JOHN[0]
+    assert outcomes[1].reason == REASON_BACKEND_FAILURE
+    assert report.counters.cache_hits == 3
+
+
 def test_split_every_projected_sentence_is_valid():
     split = fixture_split(10)
     out, _, _ = project_split(split, ScramblerBackend(0), "en", "fa")
@@ -423,3 +449,71 @@ def test_finish_matches_public_stage_reference(s, data):
     translated = [apply_edit(t, data.draw(st.one_of(EDITS, st.just(" ")))) for t in texts]
     outcome = pipeline._finish(s, masked, translated)
     assert (outcome.reason, outcome.detail, outcome.sentence) == reference_finish(s, masked, translated)
+
+
+class RejectsPoison(IdentityBackend):
+    """Identity, except that a request holding a text in ``poison`` fails whole."""
+
+    backend_id = "rejects-poison"
+
+    def __init__(self, poison=()):
+        self.poison = set(poison)
+        self.calls = []
+
+    def translate(self, texts, source_lang, target_lang):
+        self.calls.append(list(texts))
+        if self.poison.intersection(texts):
+            raise BackendUnavailable("poisoned request")
+        return list(texts)
+
+
+@st.composite
+def small_splits(draw):
+    """Sentences over a few words and names, so texts repeat across sentences."""
+    sentences = []
+    for i in range(draw(st.integers(1, 8))):
+        tokens, tags = [], []
+        for _ in range(draw(st.integers(1, 4))):
+            if draw(st.booleans()):
+                tokens.append(draw(st.sampled_from(["Ann", "Bo", "Cy"])))
+                tags.append("B-PER")
+            else:
+                tokens.append(draw(st.sampled_from(["a", "b", "c", "d"])))
+                tags.append("O")
+        sentences.append(sent(tokens, tags, origin=i))
+    return DatasetSplit("train", sentences)
+
+
+@settings(deadline=None)
+@given(small_splits(), st.data())
+def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(split, data):
+    texts = list(dict.fromkeys(t for s in split.sentences for t in masked_texts(s)))
+    cached = set(data.draw(st.lists(st.sampled_from(texts), unique=True)))
+    poison = set(data.draw(st.lists(st.sampled_from(texts), unique=True, max_size=2)))
+    batch = data.draw(st.integers(1, 5))
+    parallelism = data.draw(st.integers(1, 3))
+    misses = [t for t in texts if t not in cached]
+
+    def run(backend, on_error):
+        memo = MemoryCache()
+        for text in cached:
+            memo.store(backend.backend_id, "en", "fa", text, text)
+        return project_split(split, backend, "en", "fa", batch=batch, parallelism=parallelism,
+                             cache=memo, on_error=on_error)
+
+    _, healthy, _ = project_split(split, RejectsPoison(), "en", "fa")
+    backend = RejectsPoison(poison)
+    _, outcomes, report = run(backend, "lenient")
+    assert not cached.intersection(t for call in backend.calls for t in call)
+    assert len(backend.calls) == -(-len(misses) // batch)
+    assert report.counters.cache_hits == len(cached)
+    for s, outcome, expected in zip(split.sentences, outcomes, healthy):
+        if cached.issuperset(masked_texts(s)):
+            assert outcome == expected and outcome.projected
+
+    if poison.intersection(misses):
+        with pytest.raises(AbortedRun):
+            run(RejectsPoison(poison), "strict")
+    else:
+        _, strict, _ = run(RejectsPoison(poison), "strict")
+        assert strict == healthy
