@@ -228,7 +228,9 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {"texts": list(chunk), "source": source_lang, "target": target_lang}
 
-        last_error: Exception | None = None
+        # error texts name the endpoint by backend_id and a transport error
+        # by its class: the URL and the exception text may hold credentials
+        last_error = ""
         for attempt in range(self.retries + 1):
             if attempt:
                 delay = self.backoff_base * 2 ** (attempt - 1)
@@ -240,23 +242,23 @@ class HttpBackend(Backend):
                     self.url, json=payload, headers=headers, timeout=self.timeout
                 )
             except requests.RequestException as exc:
-                last_error = exc
+                last_error = type(exc).__name__
                 continue
             if resp.status_code >= 500:
-                last_error = BackendUnavailable(f"HTTP {resp.status_code} from {self.url}")
+                last_error = f"HTTP {resp.status_code}"
                 continue
             if resp.status_code != 200:
-                raise BackendUnavailable(f"HTTP {resp.status_code} from {self.url}")
+                raise BackendUnavailable(f"HTTP {resp.status_code} from {self.backend_id}")
             return self._parse_response(resp, len(chunk))
         raise BackendUnavailable(
-            f"giving up on {self.url} after {self.retries + 1} attempts: {last_error}"
+            f"giving up on {self.backend_id} after {self.retries + 1} attempts: {last_error}"
         )
 
     def _parse_response(self, resp, expected: int):
         try:
             body = resp.json()
         except ValueError as exc:
-            raise BackendProtocol(f"non-JSON response from {self.url}") from exc
+            raise BackendProtocol(f"non-JSON response from {self.backend_id}") from exc
         translations = body.get("translations") if isinstance(body, dict) else None
         if not isinstance(translations, list):
             raise BackendProtocol('response lacks a "translations" list')
@@ -438,56 +440,26 @@ def MemoryCache() -> TranslationCache:
     return TranslationCache(None)
 
 
+@dataclass
 class BackendCounters:
-    """Thread-safe tallies for the run report."""
+    """Tallies for the run report, kept by ``project_split`` on its calling thread."""
 
-    def __init__(self):
-        self._lock = threading.Lock()
-        self.cache_hits = 0
-        self.backend_calls = 0
-        self.texts_translated = 0
+    cache_hits: int = 0
+    backend_calls: int = 0
+    texts_translated: int = 0
 
     def add(self, *, hits: int = 0, calls: int = 0, texts: int = 0):
-        with self._lock:
-            self.cache_hits += hits
-            self.backend_calls += calls
-            self.texts_translated += texts
+        self.cache_hits += hits
+        self.backend_calls += calls
+        self.texts_translated += texts
 
 
-def translate_batch(
-    request: TranslationRequest,
-    backend: Backend,
-    cache: TranslationCache | None = None,
-    counters: BackendCounters | None = None,
-) -> list[str]:
-    """Translate request.texts, consulting the cache before the backend and
-    storing fresh translations after. Duplicate texts within the request are
-    sent to the backend once."""
-    results: dict[str, str] = {}
-    misses: list[str] = []
-    for text in dict.fromkeys(request.texts):
-        cached = None
-        if cache is not None:
-            cached = cache.lookup(backend.backend_id, request.source_lang, request.target_lang, text)
-        if cached is not None:
-            results[text] = cached
-        else:
-            misses.append(text)
-    if counters is not None:
-        # hits counted per requested text, not per unique text
-        counters.add(hits=sum(1 for t in request.texts if t in results))
-
-    if misses:
-        translated = backend.translate(misses, request.source_lang, request.target_lang)
-        if len(translated) != len(misses):
-            raise BackendProtocol(
-                f"backend returned {len(translated)} translations for {len(misses)} texts"
-            )
-        if counters is not None:
-            counters.add(calls=1, texts=len(misses))
-        for text, out in zip(misses, translated):
-            results[text] = out
-            if cache is not None:
-                cache.store(backend.backend_id, request.source_lang, request.target_lang, text, out)
-
-    return [results[t] for t in request.texts]
+def translate_batch(request: TranslationRequest, backend: Backend) -> list[str]:
+    """One ``backend.translate`` call for request.texts, checked to return one
+    translation per text."""
+    translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
+    if len(translated) != len(request.texts):
+        raise BackendProtocol(
+            f"backend returned {len(translated)} translations for {len(request.texts)} texts"
+        )
+    return translated

@@ -83,7 +83,7 @@ class RunReport:
     splits: dict[str, SplitCounts] = field(default_factory=dict)
     reasons: Counter = field(default_factory=Counter)
     # the run's one tally of backend calls, texts translated and cache hits:
-    # project_split hands it to translate_batch, and merge adds into it
+    # project_split counts into it, and merge adds into it
     counters: BackendCounters = field(default_factory=BackendCounters)
     # what opening the translation memory found: entries indexed for the
     # run's scope, and the skipped lines of every scope
@@ -216,12 +216,15 @@ def project_split(
 ) -> tuple[DatasetSplit, list[ProjectionOutcome], RunReport]:
     """Project a whole split.
 
-    Unique texts are collected across the split (each surface translated at
-    most once per run) and looked up in ``cache`` once each. Only the misses
-    are sent to the backend, ``batch`` at a time on up to ``parallelism``
-    workers, so a failed request excludes only sentences that need one of
-    its texts. Output order, and output bytes, do not depend on parallelism
-    for a deterministic backend.
+    Unique texts are collected across the split, so each is translated at
+    most once per split, or once per run when every split shares ``cache``,
+    and looked up in ``cache`` once each. Only the misses are sent to the
+    backend, ``batch`` at a time on up to ``parallelism`` workers, so a
+    failed request excludes only sentences that need one of its texts; under
+    the strict policy the first failed request aborts the run and requests
+    not yet sent are cancelled. This is the only code that reads or writes
+    the cache and that counts into the report. Output order, and output
+    bytes, do not depend on parallelism for a deterministic backend.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -255,12 +258,11 @@ def project_split(
 
     def run_batch(texts: list[str]):
         """(texts, translations, None), or (texts, None, error) when the backend
-        fails, so one failed batch does not raise inside the pool. The texts
-        are all misses, so translate_batch gets no cache to look them up in
-        again; they are stored here, as soon as their batch returns."""
+        fails, so one failed batch does not raise inside the pool. The
+        translations are stored here, as soon as their batch returns."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
         try:
-            result = translate_batch(request, backend, None, report.counters)
+            result = translate_batch(request, backend)
         except BackendError as exc:
             return texts, None, str(exc)
         if cache is not None:
@@ -270,15 +272,15 @@ def project_split(
 
     if batches:
         with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            settled = list(pool.map(run_batch, batches))
-        for texts, result, error in settled:
-            if error is None:
-                translations.update(zip(texts, result))
-            else:
-                if on_error == POLICY_STRICT:
+            for texts, result, error in pool.map(run_batch, batches):
+                if error is None:
+                    report.counters.add(calls=1, texts=len(texts))
+                    translations.update(zip(texts, result))
+                elif on_error == POLICY_STRICT:
+                    pool.shutdown(cancel_futures=True)
                     raise AbortedRun(error)
-                for t in texts:
-                    failures[t] = error
+                else:
+                    failures.update(dict.fromkeys(texts, error))
 
     outcomes: list[ProjectionOutcome] = []
     for sentence, masked in prepared:

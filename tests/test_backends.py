@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from transproj import backends
 from transproj.backends import (
-    BackendCounters,
     BackendProtocol,
     BackendUnavailable,
     CacheCorrupt,
@@ -26,6 +25,10 @@ from transproj.backends import (
     TranslationRequest,
     translate_batch,
 )
+from transproj.conll_io import DatasetSplit
+from transproj.pipeline import project_split
+
+from test_conll_io import sent
 
 
 class RecordingBackend(IdentityBackend):
@@ -125,23 +128,31 @@ def test_translate_batch_cardinality_and_order():
     assert out == ["b", "a", "b"]
 
 
-def test_translate_batch_dedups_within_request():
-    backend = RecordingBackend()
-    out = translate_batch(TranslationRequest(("x", "x", "y", "x"), "en", "fa"), backend)
-    assert out == ["x", "x", "y", "x"]
-    assert backend.calls == [["x", "y"]]
+def test_translate_batch_checks_cardinality():
+    class DropsOne(IdentityBackend):
+        def translate(self, texts, source_lang, target_lang):
+            return list(texts)[1:]
+
+    with pytest.raises(BackendProtocol):
+        translate_batch(TranslationRequest(("a", "b"), "en", "fa"), DropsOne())
 
 
-def test_translate_batch_uses_cache(tmp_path):
+def split_of(*tokens):
+    """One untagged sentence per token, so each token is one text to translate."""
+    return DatasetSplit("train", [sent([t], ["O"], origin=i) for i, t in enumerate(tokens)])
+
+
+def test_project_split_uses_cache(tmp_path):
     backend = RecordingBackend()
-    counters = BackendCounters()
-    with TranslationCache(str(tmp_path / "cache.jsonl")) as cache:
-        translate_batch(TranslationRequest(("x", "y"), "en", "fa"), backend, cache, counters)
-        translate_batch(TranslationRequest(("x", "y"), "en", "fa"), backend, cache, counters)
+    path = str(tmp_path / "cache.jsonl")
+    reports = []
+    for _ in range(2):
+        with TranslationCache(path) as cache:
+            reports.append(project_split(split_of("x", "y"), backend, "en", "fa", cache=cache)[2])
     assert backend.calls == [["x", "y"]]
-    assert counters.cache_hits == 2
-    assert counters.backend_calls == 1
-    assert counters.texts_translated == 2
+    first, second = (r.counters for r in reports)
+    assert (first.backend_calls, first.texts_translated, first.cache_hits) == (1, 2, 0)
+    assert (second.backend_calls, second.texts_translated, second.cache_hits) == (0, 0, 2)
 
 
 # --- cache --------------------------------------------------------------------
@@ -231,15 +242,20 @@ def test_cache_advisory_lock(tmp_path):
 
 def test_cache_keys_distinguish_dictionaries(tmp_path):
     path = str(tmp_path / "c.jsonl")
-    request = TranslationRequest(("dog",), "en", "de")
+
+    def run(mapping, cache):
+        projected, _, report = project_split(split_of("dog"), DictionaryBackend(mapping), "en", "de",
+                                             cache=cache)
+        return projected.sentences[0].tokens, report.counters
+
     with TranslationCache(path) as cache:
-        assert translate_batch(request, DictionaryBackend({"dog": "Hund"}), cache) == ["Hund"]
+        assert run({"dog": "Hund"}, cache)[0] == ["Hund"]
     with TranslationCache(path) as cache:
-        assert translate_batch(request, DictionaryBackend({"dog": "HUND"}), cache) == ["HUND"]
+        assert run({"dog": "HUND"}, cache)[0] == ["HUND"]
         # an equal mapping is the same configuration and hits
-        counters = BackendCounters()
-        translate_batch(request, DictionaryBackend({"dog": "Hund"}), cache, counters)
-        assert counters.cache_hits == 1
+        tokens, counters = run({"dog": "Hund"}, cache)
+        assert tokens == ["Hund"]
+        assert (counters.cache_hits, counters.backend_calls) == (1, 0)
 
 
 def test_cache_lines_written_by_store_reload_without_json_decoding(tmp_path, monkeypatch):
@@ -595,12 +611,12 @@ def test_http_zero_calls_with_warm_cache(tmp_path, stub_server):
     stub = stub_server()
     path = str(tmp_path / "c.jsonl")
     backend = http_backend(stub.url)
-    request = TranslationRequest(("alpha", "beta"), "en", "fa")
+    split = split_of("alpha", "beta")
     with TranslationCache(path) as cache:
-        first = translate_batch(request, backend, cache)
+        first = project_split(split, backend, "en", "fa", cache=cache)[0]
     assert stub.request_count == 1
     with TranslationCache(path) as cache:
-        second = translate_batch(request, backend, cache)
+        second = project_split(split, backend, "en", "fa", cache=cache)[0]
     assert stub.request_count == 1
     assert first == second
 
@@ -609,10 +625,9 @@ def test_cache_keys_distinguish_http_paths(tmp_path, stub_server):
     stub = stub_server()
     base = stub.url.rsplit("/", 1)[0]
     path = str(tmp_path / "c.jsonl")
-    request = TranslationRequest(("alpha",), "en", "fa")
     with TranslationCache(path) as cache:
-        translate_batch(request, http_backend(f"{base}/v1?key=s3cret"), cache)
-        translate_batch(request, http_backend(f"{base}/v2?key=s3cret"), cache)
+        project_split(split_of("alpha"), http_backend(f"{base}/v1?key=s3cret"), "en", "fa", cache=cache)
+        project_split(split_of("alpha"), http_backend(f"{base}/v2?key=s3cret"), "en", "fa", cache=cache)
     assert stub.request_count == 2
     # neither the query nor userinfo reaches the key written to disk
     backend = http_backend(f"http://user:pw@{base.split('//')[1]}/v1?key=s3cret")

@@ -6,6 +6,7 @@ import pytest
 
 from transproj import backends, cli, conll_io, placeholder
 from transproj.conll_io import parse_conll
+from transproj.pipeline import project_sentence
 
 
 def read(path: Path) -> str:
@@ -100,6 +101,27 @@ def test_translate_lenient_backend_failure_excludes_everything(fixture_paths, tm
     assert len(records) == 20
     assert {r["reason"] for r in records} == {"backend-failure"}
     assert {r["split"] for r in records} == {"train", "dev", "test"}
+
+
+@pytest.mark.parametrize("service", ["503", "nothing-listening"])
+def test_backend_failure_text_holds_no_credentials(fixture_paths, tmp_path, monkeypatch, capsys,
+                                                   stub_server, service):
+    monkeypatch.setattr("transproj.backends.time.sleep", lambda s: None)
+    host = "127.0.0.1:1"
+    if service == "503":
+        host = stub_server(fail_first=10**6).url.split("//")[1].split("/")[0]
+    url = f"http://user:pw@{host}/translate?key=s3cret"
+    outcome = project_sentence(
+        conll_io.TaggedSentence(["dog"], [conll_io.Tag.parse("O")]),
+        backends.HttpBackend(url, rate=None, backoff_base=0), "en", "fa",
+    )
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"http:{url}",
+                                   **{"on-backend-error": "strict"}))
+    assert outcome.reason == "backend-failure" and code == 4
+    err = capsys.readouterr().err
+    for text in (outcome.detail, err):
+        assert f"http:http://{host}/translate" in text
+        assert "s3cret" not in text and "pw@" not in text
 
 
 def test_translate_strict_abort_on_dev_leaves_no_outputs(fixture_paths, tmp_path, monkeypatch):

@@ -507,6 +507,9 @@ def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(spl
     assert not cached.intersection(t for call in backend.calls for t in call)
     assert len(backend.calls) == -(-len(misses) // batch)
     assert report.counters.cache_hits == len(cached)
+    answered = [call for call in backend.calls if not poison.intersection(call)]
+    assert report.counters.backend_calls == len(answered)
+    assert report.counters.texts_translated == sum(map(len, answered))
     for s, outcome, expected in zip(split.sentences, outcomes, healthy):
         if cached.issuperset(masked_texts(s)):
             assert outcome == expected and outcome.projected
@@ -517,3 +520,12 @@ def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(spl
     else:
         _, strict, _ = run(RejectsPoison(poison), "strict")
         assert strict == healthy
+
+
+def test_strict_policy_stops_at_the_first_failed_request():
+    split = DatasetSplit("train", [sent([f"w{i}"], ["O"], origin=i) for i in range(40)])
+    backend = RejectsPoison(f"w{i}" for i in range(40))
+    with pytest.raises(AbortedRun):
+        project_split(split, backend, "en", "fa", batch=4, parallelism=1, on_error="strict")
+    # the one worker may take the second request before the first has failed
+    assert len(backend.calls) <= 2
