@@ -187,7 +187,8 @@ class HttpBackend(Backend):
     request after another; transport errors and 5xx answers are retried
     with exponential backoff (doubling from ``backoff_base``) and jitter.
     ``backend_id`` is the URL without userinfo, query or fragment, so no
-    secret reaches a cache file.
+    secret reaches a cache file. A URL that is not a full, parseable
+    ``http(s)://host/path`` URL raises ValueError.
     """
 
     def __init__(
@@ -204,8 +205,14 @@ class HttpBackend(Backend):
     ):
         if batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        try:
+            parts = urlsplit(url)
+            parts.port  # raises on a port that is not a number in 0-65535
+        except ValueError as exc:
+            raise ValueError(f"http backend URL {url!r} does not parse: {exc}") from None
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ValueError(f"http backend needs a full http(s)://host/path URL, got {url!r}")
         self.url = url
-        parts = urlsplit(url)
         netloc = parts.netloc.rpartition("@")[2]
         self.backend_id = f"http:{urlunsplit((parts.scheme, netloc, parts.path, '', ''))}"
         self.batch_size = batch_size

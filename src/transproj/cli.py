@@ -8,7 +8,7 @@ import json
 import os
 import sys
 import time
-from urllib.parse import urlsplit
+from dataclasses import replace
 
 from . import backends, conll_io, pipeline, stats
 
@@ -196,14 +196,10 @@ def _make_backend(spec: str, batch: int) -> backends.Backend:
         except ValueError:
             raise ConfigError(f"scramble backend needs an integer seed, got {rest!r}")
     if kind in ("http", "https"):
-        url = spec if rest.startswith("//") else rest
         try:
-            parts = urlsplit(url)
-        except ValueError as exc:
-            raise ConfigError(f"http backend URL {url!r} does not parse: {exc}")
-        if parts.scheme not in ("http", "https") or not parts.netloc:
-            raise ConfigError(f"http backend needs a full http(s)://host/path URL, got {url!r}")
-        return backends.HttpBackend(url, batch_size=batch)
+            return backends.HttpBackend(spec if rest.startswith("//") else rest, batch_size=batch)
+        except ValueError as exc:  # not a full http(s)://host/path URL
+            raise ConfigError(str(exc))
     raise ConfigError(f"unknown backend spec {spec!r}")
 
 
@@ -231,11 +227,8 @@ def cmd_translate(args) -> int:
         if path:
             split = _read_split(path, name)
             if cfg["normalize-iob1"]:
-                split = conll_io.DatasetSplit(
-                    split.name,
-                    [conll_io.normalize_iob1_to_iob2(s) for s in split.sentences],
-                    dropped_empty=split.dropped_empty,
-                )
+                normalized = [conll_io.normalize_iob1_to_iob2(s) for s in split.sentences]
+                split = replace(split, sentences=normalized)
             splits[name] = split
 
     backend = _make_backend(cfg["backend"], cfg["batch"])
@@ -298,15 +291,19 @@ def cmd_translate(args) -> int:
 
     sys.stdout.write(report.render())
     if cfg["report"]:
-        with open(cfg["report"], "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        _write_json(cfg["report"], report.to_dict())
     return EXIT_OK
 
 
-def _corpus_stats(paths: dict[str, str | None]) -> dict[str, stats.SplitStats]:
+def _write_json(path: str, doc: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, ensure_ascii=False, indent=2)
+        fh.write("\n")
+
+
+def _corpus_stats(train: str | None, dev: str | None, test: str | None) -> dict[str, stats.SplitStats]:
     out = {}
-    for name, path in paths.items():
+    for name, path in zip(SPLITS, (train, dev, test)):
         if path:
             out[name] = stats.split_stats(_read_split(path, name))
     if not out:
@@ -315,36 +312,12 @@ def _corpus_stats(paths: dict[str, str | None]) -> dict[str, stats.SplitStats]:
 
 
 def cmd_stats(args) -> int:
-    first = _corpus_stats({"train": args.train, "dev": args.dev, "test": args.test})
-    corpora = [(args.name, first)]
-    has_second = any((args.vs_train, args.vs_dev, args.vs_test))
-    if has_second:
-        second = _corpus_stats({"train": args.vs_train, "dev": args.vs_dev, "test": args.vs_test})
-        corpora.append((args.vs_name, second))
-
-    sys.stdout.write(stats.render_stats_table(corpora, delta=has_second))
-
+    corpora = [(args.name, _corpus_stats(args.train, args.dev, args.test))]
+    if any((args.vs_train, args.vs_dev, args.vs_test)):
+        corpora.append((args.vs_name, _corpus_stats(args.vs_train, args.vs_dev, args.vs_test)))
+    sys.stdout.write(stats.render_stats_table(corpora, delta=len(corpora) == 2))
     if args.json_path:
-        doc = []
-        for name, by_split in corpora:
-            doc.append(
-                {
-                    "name": name,
-                    "splits": {k: v.to_dict() for k, v in by_split.items()},
-                    "overall": stats.overall_stats(list(by_split.values())).to_dict(),
-                }
-            )
-        payload: dict = {"corpora": doc}
-        if has_second:
-            deltas = {}
-            for split_name in stats.SPLIT_ORDER:
-                a, b = first.get(split_name), corpora[1][1].get(split_name)
-                if a and b:
-                    deltas[split_name] = stats.delta_stats(a, b).to_dict()
-            payload["deltas"] = deltas
-        with open(args.json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, ensure_ascii=False, indent=2)
-            fh.write("\n")
+        _write_json(args.json_path, stats.stats_report(corpora))
     return EXIT_OK
 
 

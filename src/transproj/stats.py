@@ -107,6 +107,20 @@ def delta_stats(source: SplitStats, target: SplitStats) -> DeltaStats:
     return DeltaStats(source.split_name, target.n_sentences - source.n_sentences, d_avg)
 
 
+def _overall(by_split: dict[str, SplitStats]) -> SplitStats:
+    return overall_stats(list(by_split.values()))
+
+
+def _split_deltas(source: dict[str, SplitStats], target: dict[str, SplitStats]) -> dict[str, DeltaStats]:
+    """delta_stats of each split both corpora hold, in SPLIT_ORDER."""
+    return {n: delta_stats(source[n], target[n]) for n in SPLIT_ORDER if n in source and n in target}
+
+
+def _row(label: str, by_split: dict, overall: SplitStats | DeltaStats) -> list[str]:
+    values = [by_split[n].n_sentences if n in by_split else None for n in SPLIT_ORDER]
+    return [label, *("-" if v is None else str(v) for v in (*values, overall.avg_rounded))]
+
+
 def render_stats_table(
     corpora: list[tuple[str, dict[str, SplitStats]]],
     delta: bool = False,
@@ -115,29 +129,27 @@ def render_stats_table(
     and the overall rounded average token count, plus one delta row when two
     corpora are given and delta is requested."""
     header = ["dataset", *SPLIT_ORDER, "avg"]
-    rows = [header]
-    for name, by_split in corpora:
-        overall = overall_stats(list(by_split.values()))
-        cells = [name]
-        for split_name in SPLIT_ORDER:
-            stats = by_split.get(split_name)
-            cells.append(str(stats.n_sentences) if stats is not None else "-")
-        cells.append(str(overall.avg_rounded) if overall.avg_rounded is not None else "-")
-        rows.append(cells)
-
+    rows = [header] + [_row(name, by_split, _overall(by_split)) for name, by_split in corpora]
     if delta:
         if len(corpora) != 2:
             raise ValueError("delta row needs exactly two corpora")
         (src_name, src), (tgt_name, tgt) = corpora
-        cells = [f"Δ {tgt_name}-{src_name}"]
-        for split_name in SPLIT_ORDER:
-            a, b = src.get(split_name), tgt.get(split_name)
-            cells.append(str(b.n_sentences - a.n_sentences) if a and b else "-")
-        src_avg = overall_stats(list(src.values())).avg_rounded
-        tgt_avg = overall_stats(list(tgt.values())).avg_rounded
-        cells.append(str(tgt_avg - src_avg) if src_avg is not None and tgt_avg is not None else "-")
-        rows.append(cells)
+        overall = delta_stats(_overall(src), _overall(tgt))
+        rows.append(_row(f"Δ {tgt_name}-{src_name}", _split_deltas(src, tgt), overall))
 
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def stats_report(corpora: list[tuple[str, dict[str, SplitStats]]]) -> dict:
+    """The structured report: each corpus with its splits and overall stats,
+    plus the deltas of the shared splits when two corpora are given."""
+    doc: dict = {"corpora": [
+        {"name": name, "splits": {k: v.to_dict() for k, v in by_split.items()},
+         "overall": _overall(by_split).to_dict()}
+        for name, by_split in corpora
+    ]}
+    if len(corpora) == 2:
+        doc["deltas"] = {k: d.to_dict() for k, d in _split_deltas(corpora[0][1], corpora[1][1]).items()}
+    return doc

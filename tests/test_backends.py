@@ -575,6 +575,20 @@ def test_http_unreachable_host():
         backend.translate(["x"], "en", "fa")
 
 
+@pytest.mark.parametrize("url, message", [
+    ("{host}/translate", "needs a full http"),
+    ("ftp://{host}/translate", "needs a full http"),
+    ("http://[{host}/translate", "does not parse"),
+    ("http://127.0.0.1:x/translate", "does not parse"),
+])
+def test_http_backend_rejects_a_url_that_is_not_full_http(stub_server, url, message):
+    stub = stub_server()
+    host = stub.url.removeprefix("http://").removesuffix("/translate")
+    with pytest.raises(ValueError, match=message):
+        http_backend(url.format(host=host), retries=0).translate(["x"], "en", "fa")
+    assert stub.request_count == 0
+
+
 def test_http_protocol_error_on_wrong_cardinality():
     class BadSession:
         def post(self, url, json=None, headers=None, timeout=None):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -345,6 +348,27 @@ def test_translate_batch_and_parallel_do_not_change_output(fixture_paths, tmp_pa
         assert read(tmp_path / "a" / f"{name}.conll") == read(tmp_path / "b" / f"{name}.conll")
 
 
+def test_cache_file_does_not_depend_on_parallel(fixture_paths, data_dir, tmp_path, monkeypatch):
+    translate = backends.DictionaryBackend.translate
+    calls = []
+
+    def first_request_returns_last(self, texts, source_lang, target_lang):
+        calls.append(texts)
+        if len(calls) == 1:
+            time.sleep(0.2)
+        return translate(self, texts, source_lang, target_lang)
+
+    monkeypatch.setattr(backends.DictionaryBackend, "translate", first_request_returns_last)
+    memories = {}
+    for parallel in (1, 3):
+        calls.clear()
+        memories[parallel] = tmp_path / f"cache{parallel}.jsonl"
+        assert cli.main(translate_args(fixture_paths, tmp_path / f"out{parallel}",
+                                       backend=f"dict:{data_dir / 'dict_en_fa.tsv'}",
+                                       cache=memories[parallel], batch=2, parallel=parallel)) == 0
+    assert memories[3].read_bytes() == memories[1].read_bytes()
+
+
 def test_normalize_profile_conll2003(tmp_path):
     # IOB1 input: sentence-initial I- tags start entities
     source = tmp_path / "iob1.conll"
@@ -406,11 +430,52 @@ def test_stats_json_report(fixture_paths, tmp_path):
     assert train["labels"] == {"LOC": 4, "MISC": 2, "ORG": 3, "PER": 5}
 
 
+def test_stats_compares_two_corpora(tmp_path, capsys):
+    def corpus(name, *lengths):
+        path = tmp_path / f"{name}.conll"
+        path.write_text("".join("P B-PER\n" + "w O\n" * (n - 1) + "\n" for n in lengths), encoding="utf-8")
+        return str(path)
+
+    json_path = tmp_path / "stats.json"
+    code = cli.main([
+        "stats", "--train", corpus("en_train", 1, 2, 3), "--dev", corpus("en_dev", 1, 1), "--name", "en",
+        "--vs-train", corpus("fa_train", 4, 5), "--vs-test", corpus("fa_test", 2), "--vs-name", "fa",
+        "--json", str(json_path),
+    ])
+    assert code == 0
+    # overall: en 8 tokens / 5 sentences = 1.6 -> 2, fa 11 / 3 = 3.67 -> 4
+    assert capsys.readouterr().out == (
+        "dataset  train  dev  test  avg\n"
+        "en       3      2    -     2\n"
+        "fa       2      -    1     4\n"
+        "Δ fa-en  -1     -    -     2\n"
+    )
+    doc = json.loads(read(json_path))
+    assert [c["name"] for c in doc["corpora"]] == ["en", "fa"]
+    assert list(doc["corpora"][1]["splits"]) == ["train", "test"]
+    assert doc["corpora"][0]["overall"] == {
+        "split": "overall", "sentences": 5, "tokens": 8, "avg_tokens": "1.60",
+        "avg_tokens_rounded": 2, "labels": {"PER": 5},
+    }
+    assert doc["corpora"][1]["overall"]["avg_tokens"] == "3.67"
+    # train only: dev and test are each in one corpus; avg 9/2 = 4.5 -> 5 against 6/3 = 2
+    assert doc["deltas"] == {"train": {"split": "train", "sentences": -1, "avg_tokens_rounded": 3}}
+
+
 def test_stats_requires_input():
     assert cli.main(["stats", "--name", "en"]) == 2
 
 
 # --- validate ------------------------------------------------------------------
+
+
+def test_python_m_transproj_runs_the_cli():
+    done = subprocess.run(
+        [sys.executable, "-m", "transproj", "validate", "tests/data/fixture_train.conll"],
+        cwd=Path(__file__).resolve().parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_validate_clean_corpus(fixture_paths):
