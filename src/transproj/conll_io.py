@@ -105,6 +105,9 @@ class TaggedSentence:
             for tok in self.tokens:
                 if not tok or _WS.search(tok):
                     raise InvalidSentence(f"bad token {tok!r}")
+        # parse_conll skips such a line, so the token would not survive a file
+        if DOCSTART in self.tokens:
+            raise InvalidSentence(f"token {DOCSTART!r} reads back as a document break")
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -154,42 +157,33 @@ def parse_conll_with_lines(
     sentences: list[TaggedSentence] = []
     line_map: list[list[int]] = []
     dropped = 0
+    tokens: list[str] = []
+    tags: list[Tag] = []
+    lines: list[int] = []
+    saw_docstart = False  # the current group had a -DOCSTART- line
 
-    cur_tokens: list[str] = []
-    cur_tags: list[Tag] = []
-    cur_lines: list[int] = []
-    saw_content = False  # current group had at least one non-blank line
-
-    def flush():
-        nonlocal cur_tokens, cur_tags, cur_lines, saw_content, dropped
-        if cur_tokens:
-            sentences.append(
-                TaggedSentence(cur_tokens, cur_tags, origin_index=len(sentences))
-            )
-            line_map.append(cur_lines)
-        elif saw_content:
-            dropped += 1
-        cur_tokens, cur_tags, cur_lines = [], [], []
-        saw_content = False
-
-    for line_no, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            flush()
-            continue
+    all_lines = text.split("\n")
+    all_lines.append("")  # a blank sentinel ends the last group
+    for line_no, line in enumerate(all_lines, start=1):
         fields = line.split()
-        if fields[0] == DOCSTART:
-            saw_content = True
-            continue
-        if len(fields) < 2:
+        if not fields:
+            if tokens:
+                sentences.append(TaggedSentence(tokens, tags, origin_index=len(sentences)))
+                line_map.append(lines)
+                tokens, tags, lines = [], [], []
+            elif saw_docstart:
+                dropped += 1
+            saw_docstart = False
+        elif fields[0] == DOCSTART:
+            saw_docstart = True
+        elif len(fields) < 2:
             raise MalformedLine(line_no, line)
-        saw_content = True
-        cur_tokens.append(fields[0])
-        cur_tags.append(Tag.parse(fields[-1], line_no))
-        cur_lines.append(line_no)
-    flush()
+        else:
+            tokens.append(fields[0])
+            tags.append(Tag.parse(fields[-1], line_no))
+            lines.append(line_no)
 
-    split = DatasetSplit(name, sentences, dropped_empty=dropped)
-    return split, line_map
+    return DatasetSplit(name, sentences, dropped_empty=dropped), line_map
 
 
 def serialize_conll(split: DatasetSplit) -> str:

@@ -83,25 +83,22 @@ def mask(sentence: TaggedSentence) -> MaskedSentence:
     cannot be realigned reliably and must be excluded.
     """
     spans = extract_spans(sentence)
-    parts = []
-    i = 0
-    span_idx = 0
-    while i < len(sentence.tokens):
-        if span_idx < len(spans) and spans[span_idx].start == i:
-            parts.append(placeholder(span_idx))
-            i = spans[span_idx].end
-            span_idx += 1
-        else:
-            parts.append(sentence.tokens[i])
-            i += 1
+    tokens = sentence.tokens
+    parts: list[str] = []
+    last = 0
+    for index, span in enumerate(spans):
+        parts += tokens[last:span.start]
+        parts.append(placeholder(index))
+        last = span.end
+    parts += tokens[last:]
     template = " ".join(parts)
 
     # Every placeholder match starts with a literal "[", so only a source
     # token holding one can collide, alone or joined with its neighbours
     # ("[*" + "0*]"); without one the template's hits are exactly its own
     # placeholders, in order.
-    if any("[" in token for token in sentence.tokens):
-        for pos, token in enumerate(sentence.tokens):
+    if any("[" in token for token in tokens):
+        for pos, token in enumerate(tokens):
             if PLACEHOLDER_RE.search(token):
                 raise PatternCollision(
                     f"token {token!r} at position {pos} matches the placeholder pattern"

@@ -37,27 +37,17 @@ def extract_spans(sentence: TaggedSentence) -> list[EntitySpan]:
     if violations:
         raise InvalidScheme(violations)
 
+    # every I-tag continues the entity before it, so a span is one B-tag and
+    # the I-tags that follow it
+    tags, tokens = sentence.tags, sentence.tokens
     spans: list[EntitySpan] = []
-    start = None
-    label = None
-    for i, tag in enumerate(sentence.tags):
+    for start, tag in enumerate(tags):
         if tag.kind == "B":
-            if start is not None:
-                spans.append(_make_span(sentence, start, i, label))
-            start, label = i, tag.label
-        elif tag.kind == "O":
-            if start is not None:
-                spans.append(_make_span(sentence, start, i, label))
-                start, label = None, None
-        # kind == "I" extends the open span; validity was checked above
-    if start is not None:
-        spans.append(_make_span(sentence, start, len(sentence), label))
+            end = start + 1
+            while end < len(tags) and tags[end].kind == "I":
+                end += 1
+            spans.append(EntitySpan(start, end, tag.label, " ".join(tokens[start:end])))
     return spans
-
-
-def _make_span(sentence: TaggedSentence, start: int, end: int, label: str) -> EntitySpan:
-    surface = " ".join(sentence.tokens[start:end])
-    return EntitySpan(start, end, label, surface)
 
 
 def spans_to_tags(spans: list[EntitySpan], length: int) -> list[Tag]:

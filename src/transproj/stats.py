@@ -111,9 +111,12 @@ def _overall(by_split: dict[str, SplitStats]) -> SplitStats:
     return overall_stats(list(by_split.values()))
 
 
-def _split_deltas(source: dict[str, SplitStats], target: dict[str, SplitStats]) -> dict[str, DeltaStats]:
-    """delta_stats of each split both corpora hold, in SPLIT_ORDER."""
-    return {n: delta_stats(source[n], target[n]) for n in SPLIT_ORDER if n in source and n in target}
+def _deltas(source: dict[str, SplitStats],
+            target: dict[str, SplitStats]) -> tuple[dict[str, DeltaStats], DeltaStats]:
+    """delta_stats of each split both corpora hold, in SPLIT_ORDER, and of
+    the two corpora's overall stats."""
+    splits = {n: delta_stats(source[n], target[n]) for n in SPLIT_ORDER if n in source and n in target}
+    return splits, delta_stats(_overall(source), _overall(target))
 
 
 def _row(label: str, by_split: dict, overall: SplitStats | DeltaStats) -> list[str]:
@@ -134,8 +137,7 @@ def render_stats_table(
         if len(corpora) != 2:
             raise ValueError("delta row needs exactly two corpora")
         (src_name, src), (tgt_name, tgt) = corpora
-        overall = delta_stats(_overall(src), _overall(tgt))
-        rows.append(_row(f"Δ {tgt_name}-{src_name}", _split_deltas(src, tgt), overall))
+        rows.append(_row(f"Δ {tgt_name}-{src_name}", *_deltas(src, tgt)))
 
     widths = [max(len(row[i]) for row in rows) for i in range(len(header))]
     lines = ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
@@ -144,12 +146,15 @@ def render_stats_table(
 
 def stats_report(corpora: list[tuple[str, dict[str, SplitStats]]]) -> dict:
     """The structured report: each corpus with its splits and overall stats,
-    plus the deltas of the shared splits when two corpora are given."""
+    plus, when two corpora are given, the deltas of the shared splits and
+    the overall delta."""
     doc: dict = {"corpora": [
         {"name": name, "splits": {k: v.to_dict() for k, v in by_split.items()},
          "overall": _overall(by_split).to_dict()}
         for name, by_split in corpora
     ]}
     if len(corpora) == 2:
-        doc["deltas"] = {k: d.to_dict() for k, d in _split_deltas(corpora[0][1], corpora[1][1]).items()}
+        splits, overall = _deltas(corpora[0][1], corpora[1][1])
+        doc["deltas"] = {k: d.to_dict() for k, d in splits.items()}
+        doc["overall_delta"] = overall.to_dict()
     return doc

@@ -605,6 +605,24 @@ def test_http_protocol_error_on_wrong_cardinality():
         backend.translate(["a", "b"], "en", "fa")
 
 
+@pytest.mark.parametrize("body", [{"result": ["a"]}, {"translations": "a"}, ["a"]],
+                         ids=["no-key", "not-a-list", "not-an-object"])
+def test_http_protocol_error_without_translations_list(body):
+    class BadSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            class R:
+                status_code = 200
+
+                def json(self):
+                    return body
+
+            return R()
+
+    backend = HttpBackend("http://example.invalid/t", session=BadSession(), rate=None)
+    with pytest.raises(BackendProtocol, match='lacks a "translations" list'):
+        backend.translate(["a"], "en", "fa")
+
+
 def test_http_protocol_error_on_non_json():
     class BadSession:
         def post(self, url, json=None, headers=None, timeout=None):

@@ -211,6 +211,52 @@ def test_config_file_rejects_bad_values(fixture_paths, tmp_path, overrides):
     assert cli.main(["translate", "--config", str(config_path)]) == 2
 
 
+@pytest.mark.parametrize("content,message", [
+    (None, "config file not found"),
+    ("{not json", "is not valid JSON"),
+    ("[1, 2]", "must hold a flat JSON object"),
+], ids=["missing", "not-json", "not-an-object"])
+def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, content, message):
+    config_path = tmp_path / "run.json"
+    if content is not None:
+        config_path.write_text(content, encoding="utf-8")
+    assert cli.main(["translate", "--config", str(config_path)]) == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err
+    assert str(config_path) in err
+
+
+@pytest.mark.parametrize("missing", ["out", "src", "tgt", "backend"])
+def test_translate_names_a_missing_required_key(fixture_paths, tmp_path, capsys, missing):
+    args = translate_args(fixture_paths, tmp_path / "out")
+    at = args.index(f"--{missing}")
+    del args[at:at + 2]
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert f"--{missing} is required" in capsys.readouterr().err
+
+
+def test_translate_without_input_is_a_config_error(tmp_path, capsys):
+    code = cli.main([
+        "translate", "--out", str(tmp_path / "out"), "--src", "en", "--tgt", "fa", "--backend", "identity",
+    ])
+    assert code == cli.EXIT_CONFIG
+    assert "at least one of --input-train/--input-dev/--input-test is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("dict", "dict backend needs a path"),
+    ("dict:", "dict backend needs a path"),
+    ("dict:{missing}", "dictionary file not found: {missing}"),
+    ("scramble:seven", "scramble backend needs an integer seed, got 'seven'"),
+    ("scramble:", "scramble backend needs an integer seed, got ''"),
+], ids=["dict-bare", "dict-empty", "dict-missing-file", "scramble-word", "scramble-empty"])
+def test_translate_rejects_a_bad_backend_argument(fixture_paths, tmp_path, capsys, spec, message):
+    missing = str(tmp_path / "no-such-dict.tsv")
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=spec.format(missing=missing)))
+    assert code == cli.EXIT_CONFIG
+    assert message.format(missing=missing) in capsys.readouterr().err
+
+
 def test_translate_rejects_invalid_utf8_input(tmp_path):
     bad = tmp_path / "bad.conll"
     bad.write_bytes(b"word O\n\xff\xfe broken\n")
@@ -460,6 +506,29 @@ def test_stats_compares_two_corpora(tmp_path, capsys):
     assert doc["corpora"][1]["overall"]["avg_tokens"] == "3.67"
     # train only: dev and test are each in one corpus; avg 9/2 = 4.5 -> 5 against 6/3 = 2
     assert doc["deltas"] == {"train": {"split": "train", "sentences": -1, "avg_tokens_rounded": 3}}
+
+
+def test_stats_json_overall_delta_equals_the_delta_rows_avg(tmp_path, capsys):
+    def corpus(name, *lengths):
+        path = tmp_path / f"{name}.conll"
+        path.write_text("".join("P B-PER\n" + "w O\n" * (n - 1) + "\n" for n in lengths), encoding="utf-8")
+        return str(path)
+
+    json_path = tmp_path / "stats.json"
+    code = cli.main([
+        "stats", "--train", corpus("en_train", 1, 2, 3), "--dev", corpus("en_dev", 1), "--name", "en",
+        "--vs-train", corpus("fa_train", 4, 5), "--vs-test", corpus("fa_test", 2), "--vs-name", "fa",
+        "--json", str(json_path),
+    ])
+    assert code == 0
+    delta_row = capsys.readouterr().out.splitlines()[-1].split()
+    assert delta_row[:2] == ["Δ", "fa-en"]
+    doc = json.loads(read(json_path))
+    # overall: en 7 tokens / 4 sentences = 1.75 -> 2, fa 11 / 3 = 3.67 -> 4
+    assert doc["overall_delta"] == {"split": "overall", "sentences": -1, "avg_tokens_rounded": 2}
+    assert str(doc["overall_delta"]["avg_tokens_rounded"]) == delta_row[-1]
+    # the shared train split alone moves by 3, so the overall value is not a split's
+    assert doc["deltas"]["train"]["avg_tokens_rounded"] == 3
 
 
 def test_stats_requires_input():

@@ -2,7 +2,7 @@ import itertools
 import sys
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from transproj.conll_io import (
@@ -150,6 +150,11 @@ def test_parse_empty_document():
     assert len(parse_conll("")) == 0
 
 
+def test_sentence_rejects_docstart_token():
+    with pytest.raises(InvalidSentence, match="-DOCSTART-"):
+        sent(["-DOCSTART-", "here"], ["B-PER", "O"])
+
+
 def test_parse_skips_docstart():
     split = parse_conll("-DOCSTART- O\n\nA B-PER\n")
     assert len(split) == 1
@@ -241,6 +246,86 @@ def splits(draw):
 @given(splits())
 def test_round_trip_parse_serialize(split):
     assert parse_conll(serialize_conll(split), "train") == split
+
+
+# --- parse_conll_with_lines against a reference reader --------------------
+
+
+def reference_read(text):
+    """Line by line, with no transproj code: group the non-blank lines
+    between blank ones, drop -DOCSTART- lines, read each remaining line as
+    first field token and last field tag. Returns (sentences, line_map,
+    dropped) with sentences as (tokens, tags, origin_index) triples, or
+    ("error", class name, line number) for the first bad line."""
+    groups, group = [], []
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if line.split():
+            group.append((line_no, line.split()))
+        elif group:
+            groups.append(group)
+            group = []
+    if group:
+        groups.append(group)
+    sentences, line_map, dropped = [], [], 0
+    for group in groups:
+        rows = [(line_no, fields) for line_no, fields in group if fields[0] != "-DOCSTART-"]
+        for line_no, fields in rows:
+            if len(fields) < 2:
+                return ("error", "MalformedLine", line_no)
+            tag = fields[-1]
+            if not (tag == "O" or (tag[:2] in ("B-", "I-") and len(tag) > 2)):
+                return ("error", "MalformedTag", line_no)
+        if not rows:
+            dropped += 1
+            continue
+        tokens = [fields[0] for _, fields in rows]
+        tags = [fields[-1] for _, fields in rows]
+        sentences.append((tokens, tags, len(sentences)))
+        line_map.append([line_no for line_no, _ in rows])
+    return sentences, line_map, dropped
+
+
+BLANK_LINES = ["", " ", "\t", "  \t ", "\r", "\u3000"]
+DOCSTART_LINES = ["-DOCSTART-", "-DOCSTART- O", "-DOCSTART- -X- -X- O"]
+BAD_LINES = ["ragged", "word B-", "word I-", "word X-PER", "word b-PER", "word BPER", "word NNP o"]
+
+
+@st.composite
+def conll_lines(draw):
+    kind = draw(st.sampled_from(["blank", "docstart", "token", "token", "token"]))
+    if kind == "blank":
+        return draw(st.sampled_from(BLANK_LINES))
+    if kind == "docstart":
+        return draw(st.sampled_from(DOCSTART_LINES))
+    middle = draw(st.lists(st.sampled_from(["NNP", "-X-", "I-NP", "O"]), max_size=2))
+    tag = draw(st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-creative-work"]))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
+    lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\r"]))
+    return lead + sep.join([draw(tokens_st), *middle, tag]) + trail
+
+
+@st.composite
+def conll_documents(draw):
+    lines = draw(st.lists(conll_lines(), max_size=30))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+
+
+@given(conll_documents())
+@example("-DOCSTART- -X- O\n\na O\n-DOCSTART-\nb B-PER\n\n \n\t\n-DOCSTART-")
+@example("a O\n\n-DOCSTART-\n\t\n-DOCSTART- O\n\nb O\nragged")
+def test_reader_matches_line_by_line_reference(text):
+    expected = reference_read(text)
+    try:
+        split, line_map = parse_conll_with_lines(text, "train")
+    except (MalformedLine, MalformedTag) as exc:
+        assert expected == ("error", type(exc).__name__, exc.line_no)
+        return
+    sentences, lines, dropped = expected
+    assert [(s.tokens, [t.raw for t in s.tags], s.origin_index) for s in split.sentences] == sentences
+    assert line_map == lines
+    assert split.dropped_empty == dropped
 
 
 # --- validate_scheme -----------------------------------------------------

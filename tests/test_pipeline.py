@@ -184,6 +184,18 @@ def test_entity_translated_to_placeholder_is_leak(mapping):
     assert outcome.detail == mapping.get("[*0*] lives in [*1*]", "[*0*] lives in [*1*]")
 
 
+@pytest.mark.parametrize("mapping", [
+    {"John Smith": "-DOCSTART-"},
+    {"[*0*] lives here": "[*0*] -DOCSTART- here"},
+], ids=["entity", "template"])
+def test_docstart_token_in_translation_is_token_tag_mismatch(mapping):
+    # parse_conll skips a -DOCSTART- line, so written out the token would vanish
+    source = sent(["John", "Smith", "lives", "here"], ["B-PER", "I-PER", "O", "O"])
+    outcome = project_sentence(source, MapTexts(mapping), "en", "fa")
+    assert outcome.reason == REASON_TOKEN_TAG_MISMATCH
+    assert "-DOCSTART-" in outcome.detail
+
+
 def test_dropped_empty_counter_reaches_report():
     split = parse_conll("-DOCSTART- O\n\na O\n\n", "train")
     assert split.dropped_empty == 1

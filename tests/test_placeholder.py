@@ -251,6 +251,15 @@ def adversarial_sentences(draw, origin=0):
     return sent(tokens, raw, origin)
 
 
+def reference_template(s, spans):
+    """Token by token: a span's first token becomes the span's placeholder,
+    its other tokens are dropped, and every other token stays."""
+    starts = {span.start: k for k, span in enumerate(spans)}
+    inside = {i for span in spans for i in range(span.start + 1, span.end)}
+    return " ".join(f"[*{starts[i]}*]" if i in starts else token
+                    for i, token in enumerate(s.tokens) if i not in inside)
+
+
 def reference_collision(s):
     """The collision message of a per-token search, then a scan of the
     assembled template; None when the sentence masks cleanly."""
@@ -258,12 +267,7 @@ def reference_collision(s):
         if PLACEHOLDER_RE.search(token):
             return f"token {token!r} at position {pos} matches the placeholder pattern"
     spans = extract_spans(s)
-    parts, i = [], 0
-    for k, span in enumerate(spans):
-        parts += s.tokens[i:span.start] + [f"[*{k}*]"]
-        i = span.end
-    parts += s.tokens[i:]
-    if [h.index for h in find_placeholders(" ".join(parts))] != list(range(len(spans))):
+    if [h.index for h in find_placeholders(reference_template(s, spans))] != list(range(len(spans))):
         return "source tokens combine into a placeholder-like pattern"
     return None
 
@@ -272,7 +276,9 @@ def reference_collision(s):
 def test_mask_collision_matches_per_token_then_template_reference(s):
     expected = reference_collision(s)
     if expected is None:
-        assert mask(s).entities == tuple(extract_spans(s))
+        masked = mask(s)
+        assert masked.entities == tuple(extract_spans(s))
+        assert masked.template == reference_template(s, masked.entities)
     else:
         with pytest.raises(PatternCollision) as exc:
             mask(s)
