@@ -186,9 +186,12 @@ class HttpBackend(Backend):
     [...]}`` in input order. Texts are sent ``batch_size`` at a time, one
     request after another; transport errors and 5xx answers are retried
     with exponential backoff (doubling from ``backoff_base``) and jitter.
-    ``backend_id`` is the URL without userinfo, query or fragment, so no
-    secret reaches a cache file. A URL that is not a full, parseable
-    ``http(s)://host/path`` URL raises ValueError.
+    ``backend_id`` is the URL without userinfo, query or fragment, followed
+    by ``?`` and 12 hex digits of the SHA-256 of the query when there is
+    one: two URLs share cache entries only when they differ in nothing but
+    userinfo and fragment, and no secret in the query reaches a cache file
+    in clear. A URL that is not a full, parseable ``http(s)://host/path``
+    URL raises ValueError.
     """
 
     def __init__(
@@ -214,7 +217,8 @@ class HttpBackend(Backend):
             raise ValueError(f"http backend needs a full http(s)://host/path URL, got {url!r}")
         self.url = url
         netloc = parts.netloc.rpartition("@")[2]
-        self.backend_id = f"http:{urlunsplit((parts.scheme, netloc, parts.path, '', ''))}"
+        query = parts.query and hashlib.sha256(parts.query.encode("utf-8", "surrogatepass")).hexdigest()[:12]
+        self.backend_id = f"http:{urlunsplit((parts.scheme, netloc, parts.path, query, ''))}"
         self.batch_size = batch_size
         self.retries = retries
         self.backoff_base = backoff_base

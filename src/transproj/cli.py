@@ -8,7 +8,6 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
 
 from . import backends, conll_io, pipeline, stats
 
@@ -227,8 +226,8 @@ def cmd_translate(args) -> int:
         if path:
             split = _read_split(path, name)
             if cfg["normalize-iob1"]:
-                normalized = [conll_io.normalize_iob1_to_iob2(s) for s in split.sentences]
-                split = replace(split, sentences=normalized)
+                for sentence in split.sentences:
+                    conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
             splits[name] = split
 
     backend = _make_backend(cfg["backend"], cfg["batch"])

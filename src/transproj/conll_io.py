@@ -214,20 +214,20 @@ def validate_scheme(sentence: TaggedSentence) -> list[Violation]:
     return violations
 
 
-def normalize_iob1_to_iob2(sentence: TaggedSentence) -> TaggedSentence:
-    """Rewrite IOB1 tags as IOB2: every entity-initial token gets B-<label>.
+def normalize_tags_iob1_to_iob2(tags: list[Tag]) -> None:
+    """Rewrite IOB1 tags as IOB2 in place: every entity-initial token gets B-<label>.
 
     Under IOB1 an entity starts with I-<label> unless it directly follows a
     same-label entity, where B-<label> marks the boundary. The entity spans
     read from the input under IOB1 equal those of the output under IOB2.
     """
-    new_tags: list[Tag] = []
-    prev: Tag | None = None
-    for tag in sentence.tags:
-        if tag.kind == "I":
-            continues = prev is not None and prev.kind != "O" and prev.label == tag.label
-            new_tags.append(tag if continues else Tag.begin(tag.label))
-        else:
-            new_tags.append(tag)
-        prev = tag
-    return TaggedSentence(list(sentence.tokens), new_tags, sentence.origin_index)
+    for i, (prev, tag) in enumerate(zip([None, *tags], tags)):
+        if tag.kind == "I" and not (prev is not None and prev.kind != "O" and prev.label == tag.label):
+            tags[i] = Tag.begin(tag.label)
+
+
+def normalize_iob1_to_iob2(sentence: TaggedSentence) -> TaggedSentence:
+    """A copy of ``sentence`` with its tags rewritten by :func:`normalize_tags_iob1_to_iob2`."""
+    tags = list(sentence.tags)
+    normalize_tags_iob1_to_iob2(tags)
+    return TaggedSentence(list(sentence.tokens), tags, sentence.origin_index)

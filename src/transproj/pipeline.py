@@ -13,7 +13,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import placeholder as ph
 from .backends import (
@@ -161,9 +161,10 @@ def _prepare(sentence: TaggedSentence) -> MaskedSentence | ProjectionOutcome:
 
 
 def _finish(
-    sentence: TaggedSentence, masked: MaskedSentence, translated: list[str]
+    sentence: TaggedSentence, masked: MaskedSentence, translated: list[str], index: int
 ) -> ProjectionOutcome:
-    """Stages after translation; translated is [template] + entity surfaces."""
+    """Stages after translation; translated is [template] + entity surfaces,
+    and ``index`` is the projected sentence's position in the projected split."""
     origin = sentence.origin_index
     template = translated[0]
     entities = translated[1:]
@@ -173,7 +174,7 @@ def _finish(
         return ProjectionOutcome(origin, reason=reason, detail=template)
     # count_check passed, so unmask cannot raise DuplicateIndex or UnknownIndex
     try:
-        out = ph.unmask(template, entities, [e.label for e in masked.entities], origin, hits)
+        out = ph.unmask(template, entities, [e.label for e in masked.entities], index, hits)
     except ph.EmptyEntityTranslation as exc:
         return ProjectionOutcome(origin, reason=REASON_EMPTY_ENTITY, detail=str(exc))
     except InvalidSentence as exc:
@@ -219,8 +220,9 @@ def project_split(
     Unique texts are collected across the split, so each is translated at
     most once per split, or once per run when every split shares ``cache``,
     and looked up in ``cache`` once each. Only the misses are sent to the
-    backend, ``batch`` at a time on up to ``parallelism`` workers, so a
-    failed request excludes only sentences that need one of its texts; under
+    backend, ``batch`` at a time on up to ``parallelism`` threads (on the
+    calling thread when ``parallelism`` is 1), so a failed request excludes
+    only sentences that need one of its texts; under
     the strict policy the first failed request aborts the run and requests
     not yet sent are cancelled. This is the only code that reads or writes
     the cache and that counts into the report, on the calling thread and in
@@ -269,41 +271,40 @@ def project_split(
         except BackendError as exc:
             return None, str(exc)
 
-    if batches:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            for texts, (result, error) in zip(batches, pool.map(run_batch, batches)):
-                if error is None:
-                    report.counters.add(calls=1, texts=len(texts))
-                    translations.update(zip(texts, result))
-                    if cache is not None:
-                        for text, out in zip(texts, result):
-                            cache.store(backend_id, source_lang, target_lang, text, out)
-                elif on_error == POLICY_STRICT:
-                    pool.shutdown(cancel_futures=True)
-                    raise AbortedRun(error)
-                else:
-                    failures.update(dict.fromkeys(texts, error))
+    # with one worker there is nothing to overlap, so requests run on this thread
+    pool = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+    try:
+        results = map(run_batch, batches) if pool is None else pool.map(run_batch, batches)
+        for texts, (result, error) in zip(batches, results):
+            if error is None:
+                report.counters.add(calls=1, texts=len(texts))
+                translations.update(zip(texts, result))
+                if cache is not None:
+                    for text, out in zip(texts, result):
+                        cache.store(backend_id, source_lang, target_lang, text, out)
+            elif on_error == POLICY_STRICT:
+                raise AbortedRun(error)
+            else:
+                failures.update(dict.fromkeys(texts, error))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)  # after an abort, requests not yet sent are dropped
 
     outcomes: list[ProjectionOutcome] = []
+    projected: list[TaggedSentence] = []
     for sentence, masked, texts in prepared:
-        if isinstance(masked, ProjectionOutcome):
-            outcomes.append(masked)
-            continue
         failed = next((t for t in texts if t in failures), None)
-        if failed is not None:
-            outcomes.append(
-                ProjectionOutcome(
-                    sentence.origin_index, reason=REASON_BACKEND_FAILURE, detail=failures[failed]
-                )
-            )
-            continue
-        outcomes.append(_finish(sentence, masked, [translations[t] for t in texts]))
-
-    projected = [o.sentence for o in outcomes if o.projected]
-    out_split = DatasetSplit(
-        split.name,
-        [replace(s, origin_index=i) for i, s in enumerate(projected)],
-    )
+        if isinstance(masked, ProjectionOutcome):
+            outcome = masked
+        elif failed is not None:
+            outcome = ProjectionOutcome(sentence.origin_index, reason=REASON_BACKEND_FAILURE,
+                                        detail=failures[failed])
+        else:
+            outcome = _finish(sentence, masked, [translations[t] for t in texts], len(projected))
+        outcomes.append(outcome)
+        if outcome.projected:
+            projected.append(outcome.sentence)
+    out_split = DatasetSplit(split.name, projected)
 
     report.splits[split.name] = SplitCounts(
         total=len(split.sentences),

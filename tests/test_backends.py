@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -661,7 +662,30 @@ def test_cache_keys_distinguish_http_paths(tmp_path, stub_server):
         project_split(split_of("alpha"), http_backend(f"{base}/v1?key=s3cret"), "en", "fa", cache=cache)
         project_split(split_of("alpha"), http_backend(f"{base}/v2?key=s3cret"), "en", "fa", cache=cache)
     assert stub.request_count == 2
-    # neither the query nor userinfo reaches the key written to disk
+    # the query reaches the key written to disk only as a digest, and userinfo not at all
     backend = http_backend(f"http://user:pw@{base.split('//')[1]}/v1?key=s3cret")
-    assert backend.backend_id == f"http:{base}/v1"
+    assert backend.backend_id == f"http:{base}/v1?{hashlib.sha256(b'key=s3cret').hexdigest()[:12]}"
     assert "s3cret" not in (tmp_path / "c.jsonl").read_text(encoding="utf-8")
+
+
+URL_PARTS = st.tuples(
+    st.sampled_from(["http", "https"]),
+    st.sampled_from(["", "user@", "user:pw@", "other:pw@"]),
+    st.sampled_from(["mt.example", "mt.example:8080", "other.example"]),
+    st.sampled_from(["/translate", "/translate/v2", "/"]),
+    st.one_of(st.sampled_from(["", "model=v1", "model=v2", "key=s3cret", "a=1&b=2", "b=2&a=1"]),
+              st.text(alphabet="ab=&%2", max_size=4)),
+    st.sampled_from(["", "#f", "#g"]),
+)
+
+
+@given(URL_PARTS, URL_PARTS)
+def test_http_backend_ids_are_equal_exactly_when_urls_are_equal_but_for_userinfo_and_fragment(a, b):
+    def url(scheme, userinfo, host, path, query, fragment):
+        return f"{scheme}://{userinfo}{host}{path}{'?' + query if query else ''}{fragment}"
+
+    def without_userinfo_and_fragment(scheme, userinfo, host, path, query, fragment):
+        return url(scheme, "", host, path, query, "")
+
+    same_id = HttpBackend(url(*a), rate=None).backend_id == HttpBackend(url(*b), rate=None).backend_id
+    assert same_id == (without_userinfo_and_fragment(*a) == without_userinfo_and_fragment(*b))

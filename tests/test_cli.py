@@ -591,6 +591,22 @@ def test_translate_rejects_http_backend_without_full_url(fixture_paths, tmp_path
     assert server.request_count == 0
 
 
+def test_conll2003_translate_builds_each_sentence_at_most_twice(fixture_paths, tmp_path, monkeypatch):
+    # once when it is parsed, and once when unmask builds its projection
+    sources = sum(len(parse_conll(read(path), name)) for name, path in fixture_paths.items())
+    post_init = conll_io.TaggedSentence.__post_init__
+    built = 0
+
+    def counting_post_init(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+
+    monkeypatch.setattr(conll_io.TaggedSentence, "__post_init__", counting_post_init)
+    assert cli.main(translate_args(fixture_paths, tmp_path / "out", profile="conll2003")) == 0
+    assert sources < built <= 2 * sources
+
+
 def test_translate_duration_is_wall_time(fixture_paths, tmp_path, monkeypatch):
     parse = conll_io.parse_conll
 

@@ -13,6 +13,7 @@ from transproj.conll_io import (
     Tag,
     TaggedSentence,
     normalize_iob1_to_iob2,
+    normalize_tags_iob1_to_iob2,
     parse_conll,
     parse_conll_with_lines,
     serialize_conll,
@@ -382,8 +383,14 @@ def test_validate_scheme_matches_reference_acceptor():
     (["I-PER", "I-LOC"], ["B-PER", "B-LOC"]),
 ])
 def test_normalize_examples(iob1, iob2):
-    out = normalize_iob1_to_iob2(sent(["w"] * len(iob1), iob1))
+    source = sent(["w"] * len(iob1), iob1)
+    out = normalize_iob1_to_iob2(source)
     assert [t.raw for t in out.tags] == iob2
+    # a new sentence; the argument keeps its IOB1 tags
+    assert [t.raw for t in source.tags] == iob1
+    tags = list(source.tags)
+    normalize_tags_iob1_to_iob2(tags)
+    assert tags == out.tags
 
 
 def iob1_spans(raw_tags):

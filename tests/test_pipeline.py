@@ -1,3 +1,4 @@
+import threading
 from collections import Counter
 
 import pytest
@@ -252,6 +253,41 @@ def test_split_outcomes_keep_source_origin_and_order():
     assert [s.origin_index for s in out.sentences] == [0, 1]
 
 
+def test_projected_split_holds_the_outcomes_sentences_numbered_by_place():
+    sentences = [john(0), sent(["x", "[*0*]"], ["O", "O"], origin=1), john(2), john(3)]
+    out, outcomes, _ = project_split(DatasetSplit("train", sentences), IdentityBackend(), "en", "fa")
+    kept = [o for o in outcomes if o.projected]
+    assert len(kept) == len(out.sentences) == 3
+    for j, outcome in enumerate(kept):
+        assert out.sentences[j] is outcome.sentence
+        assert outcome.sentence.origin_index == j
+    # the outcome itself still names the source sentence
+    assert [o.origin_index for o in kept] == [0, 2, 3]
+
+
+class RecordsThread(IdentityBackend):
+    backend_id = "records-thread"
+
+    def __init__(self):
+        self.threads = set()
+
+    def translate(self, texts, source_lang, target_lang):
+        self.threads.add(threading.get_ident())
+        return list(texts)
+
+
+def test_one_worker_sends_every_request_from_the_calling_thread(monkeypatch):
+    def no_thread(self):
+        raise AssertionError("project_split started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    backend = RecordsThread()
+    out, _, report = project_split(fixture_split(20), backend, "en", "fa", batch=4, parallelism=1)
+    assert report.counters.backend_calls > 1
+    assert backend.threads == {threading.get_ident()}
+    assert len(out) == 20
+
+
 @pytest.mark.parametrize("parallelism", [1, 4])
 def test_split_output_independent_of_parallelism(parallelism):
     split = fixture_split(20)
@@ -459,7 +495,7 @@ def test_finish_matches_public_stage_reference(s, data):
         assume(False)
     texts = [masked.template] + [e.surface for e in masked.entities]
     translated = [apply_edit(t, data.draw(st.one_of(EDITS, st.just(" ")))) for t in texts]
-    outcome = pipeline._finish(s, masked, translated)
+    outcome = pipeline._finish(s, masked, translated, s.origin_index)
     assert (outcome.reason, outcome.detail, outcome.sentence) == reference_finish(s, masked, translated)
 
 
@@ -496,6 +532,13 @@ def small_splits(draw):
     return DatasetSplit("train", sentences)
 
 
+def content(outcome):
+    """An outcome's source position, reason, detail, tokens and tags: all of it
+    but the projected sentence's place in the output."""
+    s = outcome.sentence
+    return outcome.origin_index, outcome.reason, outcome.detail, s and s.tokens, s and s.tags
+
+
 @settings(deadline=None)
 @given(small_splits(), st.data())
 def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(split, data):
@@ -524,7 +567,10 @@ def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(spl
     assert report.counters.texts_translated == sum(map(len, answered))
     for s, outcome, expected in zip(split.sentences, outcomes, healthy):
         if cached.issuperset(masked_texts(s)):
-            assert outcome == expected and outcome.projected
+            # a projected sentence is numbered by its place in the output, which
+            # the exclusions before it shift, so compare what it holds
+            assert outcome.projected
+            assert content(outcome) == content(expected)
 
     if poison.intersection(misses):
         with pytest.raises(AbortedRun):
@@ -541,3 +587,11 @@ def test_strict_policy_stops_at_the_first_failed_request():
         project_split(split, backend, "en", "fa", batch=4, parallelism=1, on_error="strict")
     # the one worker may take the second request before the first has failed
     assert len(backend.calls) <= 2
+
+
+def test_strict_policy_with_one_worker_sends_one_request_before_aborting():
+    split = DatasetSplit("train", [sent([f"w{i}"], ["O"], origin=i) for i in range(40)])
+    backend = RejectsPoison(f"w{i}" for i in range(40))
+    with pytest.raises(AbortedRun):
+        project_split(split, backend, "en", "fa", batch=4, parallelism=1, on_error="strict")
+    assert len(backend.calls) == 1
