@@ -102,7 +102,8 @@ class DictionaryBackend(Backend):
     @classmethod
     def from_file(cls, path: str) -> "DictionaryBackend":
         mapping = {}
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: a byte order mark must not become part of the first source word
+        with open(path, encoding="utf-8-sig") as fh:
             for line_no, line in enumerate(fh, start=1):
                 line = line.rstrip("\n")
                 if not line:

@@ -8,6 +8,7 @@ import json
 import os
 import sys
 import time
+from typing import NamedTuple
 
 from . import backends, conll_io, pipeline, stats
 
@@ -18,25 +19,33 @@ EXIT_PARSE = 3
 EXIT_ABORT = 4
 EXIT_IO = 5
 
-# conll2003 turns IOB1 -> IOB2 normalization on by default
-PROFILES = ("generic", "conll2003")
-SPLITS = ("train", "dev", "test")
 
-TRANSLATE_DEFAULTS = {
-    "out": None,
-    "src": None,
-    "tgt": None,
-    "backend": None,
-    "cache": None,
-    "batch": 32,
-    "parallel": 1,
-    "on-backend-error": pipeline.POLICY_LENIENT,
-    "profile": "generic",
-    "report": None,
-    "normalize-iob1": None,  # None = decided by profile
-    "input-train": None,
-    "input-dev": None,
-    "input-test": None,
+class Setting(NamedTuple):
+    default: object
+    # str, int (>= 1, or a string of one), bool, or a tuple of choices
+    accepts: type | tuple[str, ...]
+    help: str
+    required: bool = False
+
+
+# each translate setting is a long flag and a config-file key; the run report
+# echoes them in this order
+SETTINGS = {
+    "out": Setting(None, str, "output directory", required=True),
+    "src": Setting(None, str, "source language code", required=True),
+    "tgt": Setting(None, str, "target language code", required=True),
+    "backend": Setting(None, str, "identity | dict:<path> | scramble:<seed> | http:<url>", required=True),
+    "cache": Setting(None, str, "translation cache file (JSONL, append-only)"),
+    "batch": Setting(32, int, "texts per backend request"),
+    "parallel": Setting(1, int, "concurrent translation batches"),
+    "on-backend-error": Setting(pipeline.POLICY_LENIENT, pipeline.POLICIES,
+                                "lenient: exclude affected sentences; strict: abort"),
+    "profile": Setting("generic", ("generic", "conll2003"),
+                       "corpus profile; conll2003 turns --normalize-iob1 on"),
+    "report": Setting(None, str, "also write the run report as JSON to this path"),
+    "normalize-iob1": Setting(None, bool,
+                              "rewrite IOB1 input tags to IOB2 (default: on for --profile conll2003)"),
+    **{f"input-{s}": Setting(None, str, f"CoNLL file for the {s} split") for s in stats.SPLIT_ORDER},
 }
 
 
@@ -54,34 +63,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     tr = sub.add_parser("translate", help="project a corpus through a translation backend")
-    tr.add_argument("--input-train", help="CoNLL file for the train split")
-    tr.add_argument("--input-dev", help="CoNLL file for the dev split")
-    tr.add_argument("--input-test", help="CoNLL file for the test split")
-    tr.add_argument("--out", help="output directory")
-    tr.add_argument("--src", help="source language code")
-    tr.add_argument("--tgt", help="target language code")
-    tr.add_argument("--backend", help="identity | dict:<path> | scramble:<seed> | http:<url>")
-    tr.add_argument("--cache", help="translation cache file (JSONL, append-only)")
-    tr.add_argument("--batch", type=int, help="texts per backend request (default 32)")
-    tr.add_argument("--parallel", type=int, help="concurrent translation batches (default 1)")
-    tr.add_argument("--on-backend-error", choices=(pipeline.POLICY_LENIENT, pipeline.POLICY_STRICT),
-                    dest="on_backend_error", help="lenient: exclude affected sentences; strict: abort")
-    tr.add_argument("--profile", choices=PROFILES, help="corpus profile (sets tag-scheme defaults)")
+    # every flag defaults to None, "not given", so a config-file value stands;
+    # _effective_config checks the strings the flags carry
+    for key, setting in SETTINGS.items():
+        if setting.accepts is bool:  # --<key> and --no-<key>
+            tr.add_argument(f"--{key}", dest=key, action=argparse.BooleanOptionalAction, help=setting.help)
+            continue
+        metavar = "{" + ",".join(setting.accepts) + "}" if isinstance(setting.accepts, tuple) else None
+        default = "" if setting.default is None else f" (default {setting.default})"
+        tr.add_argument(f"--{key}", dest=key, metavar=metavar, help=setting.help + default)
     tr.add_argument("--config", help="flat JSON config file; keys mirror the flags")
-    tr.add_argument("--report", help="also write the run report as JSON to this path")
-    tr.add_argument("--normalize-iob1", dest="normalize_iob1", action="store_true", default=None,
-                    help="rewrite IOB1 input tags to IOB2 (default: on for --profile conll2003)")
-    tr.add_argument("--no-normalize-iob1", dest="normalize_iob1", action="store_false", default=None)
     tr.set_defaults(func=cmd_translate)
 
     st = sub.add_parser("stats", help="corpus statistics, optionally with deltas against a second corpus")
-    st.add_argument("--train", help="CoNLL file for the train split")
-    st.add_argument("--dev", help="CoNLL file for the dev split")
-    st.add_argument("--test", help="CoNLL file for the test split")
+    for name in stats.SPLIT_ORDER:
+        st.add_argument(f"--{name}", help=f"CoNLL file for the {name} split")
+        st.add_argument(f"--vs-{name}", help=f"second corpus {name} split (enables the delta row)")
     st.add_argument("--name", default="source", help="row label for the corpus")
-    st.add_argument("--vs-train", help="second corpus train split (enables the delta row)")
-    st.add_argument("--vs-dev", help="second corpus dev split")
-    st.add_argument("--vs-test", help="second corpus test split")
     st.add_argument("--vs-name", default="target", help="row label for the second corpus")
     st.add_argument("--json", dest="json_path", help="write the structured report to this path")
     st.set_defaults(func=cmd_stats)
@@ -129,51 +127,53 @@ def _load_config_file(path: str) -> dict:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
-    unknown = set(data) - set(TRANSLATE_DEFAULTS)
+    unknown = set(data) - set(SETTINGS)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
     return data
 
 
 def _effective_config(args) -> dict:
-    """Defaults, overridden by the config file, overridden by flags."""
-    cfg = dict(TRANSLATE_DEFAULTS)
+    """Defaults, overridden by the config file, overridden by flags, then
+    checked setting by setting."""
+    cfg = {key: setting.default for key, setting in SETTINGS.items()}
     if args.config:
         cfg.update(_load_config_file(args.config))
-    # each key's argparse dest is the key with "_" for "-"
-    flag_values = {k: getattr(args, k.replace("-", "_")) for k in TRANSLATE_DEFAULTS}
-    cfg.update({k: v for k, v in flag_values.items() if v is not None})
+    cfg.update({k: v for k, v in vars(args).items() if k in SETTINGS and v is not None})
 
-    # config-file values come from outside the program and may be any JSON type
-    for key in ("out", "src", "tgt", "backend", "cache", "report", *(f"input-{s}" for s in SPLITS)):
-        if cfg[key] is not None and not isinstance(cfg[key], str):
-            raise ConfigError(f"--{key} must be a string, got {cfg[key]!r}")
-    for key in ("out", "src", "tgt", "backend"):
-        if not cfg[key]:
+    for key, setting in SETTINGS.items():
+        # a setting without a default may be null
+        if cfg[key] is not None or setting.default is not None:
+            cfg[key] = _checked(key, cfg[key], setting.accepts)
+        if setting.required and not cfg[key]:
             raise ConfigError(f"--{key} is required")
     if cfg["src"] == cfg["tgt"]:
         raise ConfigError("source and target language codes must differ")
-    for key in ("batch", "parallel"):
-        try:
-            # int() would read true as 1 and cut 2.7 to 2
-            if isinstance(cfg[key], (bool, float)):
-                raise TypeError
-            cfg[key] = int(cfg[key])
-        except (TypeError, ValueError):
-            raise ConfigError(f"--{key} must be an integer, got {cfg[key]!r}")
-        if cfg[key] < 1:
-            raise ConfigError(f"--{key} must be >= 1")
-    if cfg["on-backend-error"] not in (pipeline.POLICY_LENIENT, pipeline.POLICY_STRICT):
-        raise ConfigError(f"--on-backend-error must be lenient or strict, got {cfg['on-backend-error']!r}")
-    if cfg["profile"] not in PROFILES:
-        raise ConfigError(f"unknown profile {cfg['profile']!r}")
-    if not (cfg["normalize-iob1"] is None or isinstance(cfg["normalize-iob1"], bool)):
-        raise ConfigError("normalize-iob1 must be true or false")
-    if not any(cfg[f"input-{s}"] for s in SPLITS):
+    if not any(cfg[f"input-{s}"] for s in stats.SPLIT_ORDER):
         raise ConfigError("at least one of --input-train/--input-dev/--input-test is required")
     if cfg["normalize-iob1"] is None:
         cfg["normalize-iob1"] = cfg["profile"] == "conll2003"
     return cfg
+
+
+def _checked(key: str, value, accepts):
+    """The value a setting runs with. A flag carries a string and a config
+    file any JSON value; both pass these same checks."""
+    # only a string is converted: int() would read true as 1 and cut 2.7 to 2
+    if accepts is int and isinstance(value, str):
+        with contextlib.suppress(ValueError):
+            value = int(value)
+    if isinstance(accepts, tuple):
+        ok, expected = value in accepts, " or ".join(accepts)
+    else:
+        # bool is a subclass of int
+        ok = isinstance(value, accepts) and not (accepts is int and isinstance(value, bool))
+        expected = {str: "a string", int: "an integer", bool: "true or false"}[accepts]
+    if not ok:
+        raise ConfigError(f"--{key} must be {expected}, got {value!r}")
+    if accepts is int and value < 1:
+        raise ConfigError(f"--{key} must be >= 1")
+    return value
 
 
 def _make_backend(spec: str, batch: int) -> backends.Backend:
@@ -205,15 +205,12 @@ def _make_backend(spec: str, batch: int) -> backends.Backend:
 def _read_text(path: str) -> str:
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    # utf-8-sig: a byte order mark must not become part of the first token
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             return fh.read()
         except UnicodeDecodeError as exc:
             raise conll_io.ConllError(f"{path}: not valid UTF-8 ({exc})")
-
-
-def _read_split(path: str, name: str) -> conll_io.DatasetSplit:
-    return conll_io.parse_conll(_read_text(path), name)
 
 
 def cmd_translate(args) -> int:
@@ -221,16 +218,18 @@ def cmd_translate(args) -> int:
     started = time.monotonic()
 
     splits = {}
-    for name in SPLITS:
+    for name in stats.SPLIT_ORDER:
         path = cfg[f"input-{name}"]
         if path:
-            split = _read_split(path, name)
+            split = conll_io.parse_conll(_read_text(path), name)
             if cfg["normalize-iob1"]:
                 for sentence in split.sentences:
                     conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
             splits[name] = split
 
     backend = _make_backend(cfg["backend"], cfg["batch"])
+    if isinstance(backend, backends.HttpBackend):  # named as in exclusions.jsonl: no userinfo or query
+        cfg["backend"] = backend.backend_id
     # run-wide memo even without a cache file ("" in a config file means
     # none): a surface repeated across splits is translated only once per run.
     # A run can only hit its own backend and language pair, so only that
@@ -302,9 +301,9 @@ def _write_json(path: str, doc: dict) -> None:
 
 def _corpus_stats(train: str | None, dev: str | None, test: str | None) -> dict[str, stats.SplitStats]:
     out = {}
-    for name, path in zip(SPLITS, (train, dev, test)):
+    for name, path in zip(stats.SPLIT_ORDER, (train, dev, test)):
         if path:
-            out[name] = stats.split_stats(_read_split(path, name))
+            out[name] = stats.split_stats(conll_io.parse_conll(_read_text(path), name))
     if not out:
         raise ConfigError("no input files given")
     return out

@@ -50,6 +50,7 @@ ALL_REASONS = (
 
 POLICY_LENIENT = "lenient"
 POLICY_STRICT = "strict"
+POLICIES = (POLICY_LENIENT, POLICY_STRICT)
 
 
 class AbortedRun(RuntimeError):
@@ -235,6 +236,8 @@ def project_split(
         raise ValueError("parallelism must be >= 1")
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    if on_error not in POLICIES:
+        raise ValueError(f"on_error must be {' or '.join(POLICIES)}, got {on_error!r}")
     started = time.monotonic()
 
     # a tuple of texts per sentence: lists held this long raised conll_dict peak RSS ~2.7%

@@ -76,6 +76,13 @@ def test_dictionary_from_file(tmp_path):
     assert backend.translate(["a b"], "en", "fa") == ["A B with spaces"]
 
 
+def test_dictionary_file_with_a_byte_order_mark_matches_its_first_entry(tmp_path):
+    path = tmp_path / "map.tsv"
+    path.write_bytes("\ufeffJohn\tجان\nlives\tzendegi\n".encode("utf-8"))
+    backend = DictionaryBackend.from_file(str(path))
+    assert backend.translate(["John lives"], "en", "fa") == ["جان zendegi"]
+
+
 def test_dictionary_file_rejects_ragged_line(tmp_path):
     path = tmp_path / "map.tsv"
     path.write_text("a\tA\nnotab\n", encoding="utf-8")

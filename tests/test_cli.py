@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -6,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from transproj import backends, cli, conll_io, placeholder
 from transproj.conll_io import parse_conll
@@ -127,6 +131,18 @@ def test_backend_failure_text_holds_no_credentials(fixture_paths, tmp_path, monk
         assert "s3cret" not in text and "pw@" not in text
 
 
+def test_report_names_an_http_backend_without_its_credentials(fixture_paths, tmp_path, stub_server):
+    host = stub_server().url.split("//")[1].split("/")[0]
+    url = f"http://user:pw@{host}/translate?key=s3cret"
+    report_path = tmp_path / "report.json"
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"http:{url}",
+                                   report=report_path))
+    assert code == 0
+    text = read(report_path)
+    assert "pw@" not in text and "s3cret" not in text
+    assert json.loads(text)["config"]["backend"] == backends.HttpBackend(url).backend_id
+
+
 def test_translate_strict_abort_on_dev_leaves_no_outputs(fixture_paths, tmp_path, monkeypatch):
     from transproj.backends import BackendUnavailable, IdentityBackend
 
@@ -211,6 +227,50 @@ def test_config_file_rejects_bad_values(fixture_paths, tmp_path, overrides):
     assert cli.main(["translate", "--config", str(config_path)]) == 2
 
 
+# every translate setting that takes a value, by its flag and config-file key
+VALUED_SETTINGS = ["out", "src", "tgt", "backend", "cache", "batch", "parallel", "on-backend-error",
+                   "profile", "report", "input-train", "input-dev", "input-test"]
+FLAG_VALUES = ["x", "0", "-1", "2.7", "shrug", "wnut", "", "1", "7", "lenient", "strict", "generic",
+               "conll2003", "en"]
+
+
+def run_quietly(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(
+    st.tuples(st.sampled_from(VALUED_SETTINGS), st.sampled_from(FLAG_VALUES)),
+    st.tuples(st.just("normalize-iob1"), st.booleans()),
+))
+@example(("batch", "x"))
+def test_a_flag_and_a_config_file_value_are_checked_alike(tmp_path_factory, setting):
+    key, value = setting
+    where = tmp_path_factory.mktemp("run")
+    # the train input is missing, so a value that passes the checks stops
+    # there, with exit 2, before anything is read or written
+    base = {"out": str(where / "out"), "src": "en", "tgt": "fa", "backend": "identity",
+            "input-train": str(where / "missing.conll")}
+    argv = ["translate"]
+    for flag, given_value in base.items():
+        if flag != key:
+            argv += [f"--{flag}", given_value]
+    if isinstance(value, bool):
+        as_flag = ["--normalize-iob1" if value else "--no-normalize-iob1"]
+    else:
+        as_flag = [f"--{key}", value]
+    config_path = where / "run.json"
+    config_path.write_text(json.dumps({key: value}), encoding="utf-8")
+
+    by_flag = run_quietly(argv + as_flag)
+    by_config = run_quietly(argv + ["--config", str(config_path)])
+    assert by_flag == by_config
+    assert by_flag[0] == cli.EXIT_CONFIG
+
+
 @pytest.mark.parametrize("content,message", [
     (None, "config file not found"),
     ("{not json", "is not valid JSON"),
@@ -265,6 +325,21 @@ def test_translate_rejects_invalid_utf8_input(tmp_path):
         "--src", "en", "--tgt", "fa", "--backend", "identity",
     ])
     assert code == 3
+
+
+def test_a_byte_order_mark_does_not_make_docstart_a_sentence(tmp_path, capsys):
+    source = tmp_path / "bom.conll"
+    source.write_bytes("\ufeff-DOCSTART- O\n\nJohn B-PER\nleft O\n\n".encode("utf-8"))
+    out = tmp_path / "out"
+    code = cli.main([
+        "translate", "--input-train", str(source), "--out", str(out),
+        "--src", "en", "--tgt", "fa", "--backend", "identity",
+    ])
+    assert code == 0
+    assert read(out / "train.conll") == "John B-PER\nleft O\n\n"
+    capsys.readouterr()
+    assert cli.main(["stats", "--train", str(source), "--name", "en"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split()[:2] == ["en", "1"]
 
 
 def test_translate_report_accounting(fixture_paths, tmp_path):

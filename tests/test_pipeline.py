@@ -303,6 +303,15 @@ def test_split_strict_policy_aborts():
         project_split(fixture_split(2), FailingBackend(), "en", "fa", on_error="strict")
 
 
+@pytest.mark.parametrize("project", [
+    lambda on_error: project_split(fixture_split(2), FailingBackend(), "en", "fa", on_error=on_error),
+    lambda on_error: project_sentence(john(), FailingBackend(), "en", "fa", on_error=on_error),
+], ids=["split", "sentence"])
+def test_a_misspelled_error_policy_is_rejected_not_read_as_lenient(project):
+    with pytest.raises(ValueError, match="strcit"):
+        project("strcit")
+
+
 def test_split_lenient_policy_excludes_all_affected():
     out, outcomes, report = project_split(fixture_split(2), FailingBackend(), "en", "fa")
     assert len(out) == 0
