@@ -20,6 +20,7 @@ import re
 import sys
 import threading
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 from urllib.parse import urlsplit, urlunsplit
 
@@ -30,6 +31,9 @@ from .placeholder import find_placeholders
 log = logging.getLogger(__name__)
 
 API_KEY_ENV = "TRANSPROJ_API_KEY"
+
+# the request slot that translate_batch's caller holds, if any
+_held_slot: ContextVar[threading.Semaphore | None] = ContextVar("_held_slot", default=None)
 
 
 class BackendError(Exception):
@@ -246,7 +250,14 @@ class HttpBackend(Backend):
         for attempt in range(self.retries + 1):
             if attempt:
                 delay = self.backoff_base * 2 ** (attempt - 1)
-                time.sleep(delay * (1.0 + 0.25 * random.random()))
+                slot = _held_slot.get()
+                if slot is not None:
+                    slot.release()  # another batch may send while this one waits
+                try:
+                    time.sleep(delay * (1.0 + 0.25 * random.random()))
+                finally:
+                    if slot is not None:
+                        slot.acquire()
             if self._bucket is not None:
                 self._bucket.acquire()
             try:
@@ -466,10 +477,16 @@ class BackendCounters:
         self.texts_translated += texts
 
 
-def translate_batch(request: TranslationRequest, backend: Backend) -> list[str]:
+def translate_batch(request: TranslationRequest, backend: Backend,
+                    slot: threading.Semaphore | None = None) -> list[str]:
     """One ``backend.translate`` call for request.texts, checked to return one
-    translation per text."""
-    translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
+    translation per text. ``HttpBackend`` releases ``slot``, a request slot
+    the caller holds, while it waits out a retry backoff."""
+    token = _held_slot.set(slot)
+    try:
+        translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
+    finally:
+        _held_slot.reset(token)
     if len(translated) != len(request.texts):
         raise BackendProtocol(
             f"backend returned {len(translated)} translations for {len(request.texts)} texts"

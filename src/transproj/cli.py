@@ -37,7 +37,7 @@ SETTINGS = {
     "backend": Setting(None, str, "identity | dict:<path> | scramble:<seed> | http:<url>", required=True),
     "cache": Setting(None, str, "translation cache file (JSONL, append-only)"),
     "batch": Setting(32, int, "texts per backend request"),
-    "parallel": Setting(1, int, "concurrent translation batches"),
+    "parallel": Setting(1, int, "translation requests in flight at once"),
     "on-backend-error": Setting(pipeline.POLICY_LENIENT, pipeline.POLICIES,
                                 "lenient: exclude affected sentences; strict: abort"),
     "profile": Setting("generic", ("generic", "conll2003"),
@@ -119,7 +119,8 @@ def entrypoint() -> None:
 
 def _load_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        # utf-8-sig: some editors save JSON with a byte order mark
+        with open(path, encoding="utf-8-sig") as fh:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")

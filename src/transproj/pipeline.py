@@ -10,6 +10,7 @@ exclusion with a machine-readable reason instead of an error.
 
 from __future__ import annotations
 
+import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -221,16 +222,20 @@ def project_split(
     Unique texts are collected across the split, so each is translated at
     most once per split, or once per run when every split shares ``cache``,
     and looked up in ``cache`` once each. Only the misses are sent to the
-    backend, ``batch`` at a time on up to ``parallelism`` threads (on the
-    calling thread when ``parallelism`` is 1), so a failed request excludes
-    only sentences that need one of its texts; under
-    the strict policy the first failed request aborts the run and requests
-    not yet sent are cancelled. This is the only code that reads or writes
-    the cache and that counts into the report, on the calling thread and in
+    backend, ``batch`` at a time, so a failed request excludes only
+    sentences that need one of its texts. ``parallelism`` caps the requests
+    in flight: at 1 they run on the calling thread; above 1, on
+    ``2 * parallelism`` threads sharing ``parallelism`` slots, and a batch
+    waiting out an ``HttpBackend`` retry backoff hands its slot to another.
+    Under the strict policy the first failed request aborts the run and no
+    batch sends after that. This is the only code that reads or writes the
+    cache and that counts into the report, on the calling thread and in
     request order: a finished request is stored only once every earlier one
-    has returned, so a crash loses at most ``parallelism - 1`` of them, for
-    a rerun to send again. Output order, output bytes and the cache file's
-    bytes do not depend on parallelism for a deterministic backend.
+    has returned. A slow or backing-off request does not stop the other
+    slots, so a crash loses every request that finished after the oldest
+    one not yet stored, for a rerun to send again. Output order, output
+    bytes and the cache file's bytes do not depend on parallelism for a
+    deterministic backend.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -265,19 +270,29 @@ def project_split(
     batches = [misses[i:i + batch] for i in range(0, len(misses), batch)]
     failures: dict[str, str] = {}
 
-    def run_batch(texts: list[str]):
+    def send(texts: list[str], slot: threading.Semaphore | None = None):
         """(translations, None), or (None, error) when the backend fails, so
         one failed batch does not raise inside the pool."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
         try:
-            return translate_batch(request, backend), None
+            return translate_batch(request, backend, slot), None
         except BackendError as exc:
             return None, str(exc)
 
+    slots = threading.BoundedSemaphore(parallelism)
+    stop = threading.Event()
+
+    def run_batch(texts: list[str]):
+        """The pool's worker: sends while holding a slot, unless the run has stopped."""
+        with slots:
+            if stop.is_set():
+                return None, "not sent: the run stopped"
+            return send(texts, slots)
+
     # with one worker there is nothing to overlap, so requests run on this thread
-    pool = ThreadPoolExecutor(max_workers=parallelism) if parallelism > 1 else None
+    pool = ThreadPoolExecutor(max_workers=2 * parallelism) if parallelism > 1 else None
     try:
-        results = map(run_batch, batches) if pool is None else pool.map(run_batch, batches)
+        results = map(send, batches) if pool is None else pool.map(run_batch, batches)
         for texts, (result, error) in zip(batches, results):
             if error is None:
                 report.counters.add(calls=1, texts=len(texts))
@@ -291,7 +306,8 @@ def project_split(
                 failures.update(dict.fromkeys(texts, error))
     finally:
         if pool is not None:
-            pool.shutdown(cancel_futures=True)  # after an abort, requests not yet sent are dropped
+            stop.set()  # after an abort, no batch sends
+            pool.shutdown(cancel_futures=True)
 
     outcomes: list[ProjectionOutcome] = []
     projected: list[TaggedSentence] = []

@@ -19,14 +19,25 @@ def fixture_paths() -> dict[str, Path]:
 
 
 class StubTranslationServer:
-    """Local identity translation service that counts requests."""
+    """Local identity translation service that counts requests.
 
-    def __init__(self, fail_first: int = 0, transform=None):
+    The first ``fail_first`` requests are answered with ``status``. Each
+    request is held ``delay`` seconds before its answer. ``in_flight`` is
+    the number of requests being handled and ``max_in_flight`` its
+    high-water mark; a request leaves them before its answer is written,
+    so they never count more requests than the client has waiting.
+    """
+
+    def __init__(self, fail_first: int = 0, transform=None, status: int = 503, delay: float = 0.0):
         self.request_count = 0
         self.seen_auth: list[str | None] = []
+        self.in_flight = 0
+        self.max_in_flight = 0
         self._fail_first = fail_first
+        self._status = status
+        self._delay = delay
         self._transform = transform or (lambda t: t)
-        self._lock = threading.Lock()
+        self._lock = threading.Condition()
 
         stub = self
 
@@ -39,8 +50,17 @@ class StubTranslationServer:
                     should_fail = stub._fail_first > 0
                     if should_fail:
                         stub._fail_first -= 1
+                    stub.in_flight += 1
+                    stub.max_in_flight = max(stub.max_in_flight, stub.in_flight)
+                    stub._lock.notify_all()
+                if stub._delay:
+                    # an event never set, not time.sleep, which tests patch to skip backoffs
+                    threading.Event().wait(stub._delay)
+                with stub._lock:
+                    stub.in_flight -= 1
+                    stub._lock.notify_all()
                 if should_fail:
-                    self.send_response(503)
+                    self.send_response(stub._status)
                     self.end_headers()
                     return
                 payload = json.dumps(
@@ -59,6 +79,11 @@ class StubTranslationServer:
         self.url = f"http://127.0.0.1:{self._server.server_port}/translate"
         self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
         self._thread.start()
+
+    def wait_for_in_flight(self, n: int, timeout: float) -> bool:
+        """Whether ``n`` requests were in flight at once within ``timeout`` seconds."""
+        with self._lock:
+            return self._lock.wait_for(lambda: self.in_flight >= n, timeout)
 
     def close(self):
         self._server.shutdown()

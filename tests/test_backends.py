@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import tempfile
 import time
 import types
@@ -575,6 +576,15 @@ def test_http_gives_up_after_retries(stub_server):
     with pytest.raises(BackendUnavailable):
         backend.translate(["x"], "en", "fa")
     assert stub.request_count == 3
+
+
+@pytest.mark.parametrize("status", [429, 400])
+def test_http_status_below_500_is_not_retried(stub_server, status):
+    stub = stub_server(fail_first=1, status=status)
+    backend = http_backend(stub.url, retries=3)
+    with pytest.raises(BackendUnavailable, match=rf"HTTP {status} from {re.escape(backend.backend_id)}$"):
+        backend.translate(["x"], "en", "fa")
+    assert stub.request_count == 1
 
 
 def test_http_unreachable_host():

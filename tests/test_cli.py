@@ -197,6 +197,15 @@ def test_config_file_defaults_and_flag_override(fixture_paths, data_dir, tmp_pat
     assert report["splits"]["train"]["projected"] == 8
 
 
+def test_config_file_with_a_byte_order_mark_is_read(fixture_paths, tmp_path):
+    config = {"backend": "identity", "src": "en", "tgt": "fa", "out": str(tmp_path / "out"),
+              "input-train": str(fixture_paths["train"])}
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8-sig")
+    assert cli.main(["translate", "--config", str(config_path)]) == 0
+    assert read(tmp_path / "out" / "train.conll") == read(fixture_paths["train"])
+
+
 def test_config_file_rejects_unknown_keys(tmp_path):
     config_path = tmp_path / "run.json"
     config_path.write_text('{"bakcend": "identity"}', encoding="utf-8")

@@ -1,11 +1,13 @@
+import sys
 import threading
+import time
 from collections import Counter
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from transproj import conll_io, pipeline, placeholder, spans
+from transproj import backends, conll_io, pipeline, placeholder, spans
 from transproj.backends import (
     BackendUnavailable,
     DictionaryBackend,
@@ -39,6 +41,7 @@ from transproj.placeholder import (
 from transproj.spans import extract_spans
 from transproj.stats import delta_stats, split_stats
 
+from test_backends import http_backend
 from test_conll_io import sent
 from test_placeholder import ADVERSARIAL_TEXT, adversarial_sentences
 
@@ -604,3 +607,69 @@ def test_strict_policy_with_one_worker_sends_one_request_before_aborting():
     with pytest.raises(AbortedRun):
         project_split(split, backend, "en", "fa", batch=4, parallelism=1, on_error="strict")
     assert len(backend.calls) == 1
+
+
+def word_split(n):
+    return DatasetSplit("train", [sent([f"w{i}"], ["O"], origin=i) for i in range(n)])
+
+
+class FirstFailsThenSlow(IdentityBackend):
+    """Fails the request holding ``w0``; every other call takes 20 ms."""
+
+    backend_id = "first-fails"
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def translate(self, texts, source_lang, target_lang):
+        with self._lock:
+            self.calls += 1
+        if "w0" in texts:
+            raise BackendUnavailable("first batch rejected")
+        time.sleep(0.02)
+        return list(texts)
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+def test_strict_abort_sends_no_batch_after_the_abort(parallelism):
+    backend = FirstFailsThenSlow()
+    with pytest.raises(AbortedRun, match="first batch rejected"):
+        project_split(word_split(40), backend, "en", "fa", batch=1, parallelism=parallelism,
+                      on_error="strict")
+    assert backend.calls <= 2 * parallelism
+
+
+@pytest.mark.parametrize("parallelism", [2, 3])
+@pytest.mark.parametrize("fail_first", [0, 3], ids=["no-retries", "retries"])
+def test_http_requests_in_flight_stay_within_parallelism_and_output_matches_one_worker(
+        stub_server, parallelism, fail_first):
+    split = fixture_split(30)
+    stub = stub_server(fail_first=fail_first, delay=0.005)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # thread switches between any two steps of the slot hand-off
+    try:
+        out, outcomes, report = project_split(split, http_backend(stub.url), "en", "fa", batch=2,
+                                              parallelism=parallelism)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stub.max_in_flight <= parallelism
+    assert stub.request_count == report.counters.backend_calls + fail_first
+    one_out, one_outcomes, _ = project_split(split, http_backend(stub_server().url), "en", "fa",
+                                             batch=2, parallelism=1)
+    assert serialize_conll(out) == serialize_conll(one_out)
+    assert outcomes == one_outcomes
+
+
+@pytest.mark.parametrize("parallelism", [2, 3])
+def test_a_batch_in_retry_backoff_hands_its_slot_to_another(stub_server, monkeypatch, parallelism):
+    stub = stub_server(fail_first=1, delay=0.02)
+    full_while_backing_off = []
+    # the one backoff returns once every slot holds a request, or after 5 s
+    monkeypatch.setattr(backends.time, "sleep", lambda seconds: full_while_backing_off.append(
+        stub.wait_for_in_flight(parallelism, timeout=5)))
+    _, outcomes, _ = project_split(word_split(40), http_backend(stub.url, retries=1), "en", "fa",
+                                   batch=1, parallelism=parallelism)
+    assert full_while_backing_off == [True]
+    assert stub.max_in_flight <= parallelism
+    assert all(o.projected for o in outcomes)
