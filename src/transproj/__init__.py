@@ -2,7 +2,6 @@
 
 from .backends import (
     Backend,
-    BackendCounters,
     BackendError,
     BackendProtocol,
     BackendUnavailable,
@@ -27,6 +26,7 @@ from .conll_io import (
 )
 from .pipeline import (
     AbortedRun,
+    BackendCounters,
     ProjectionOutcome,
     RunReport,
     project_sentence,

@@ -384,6 +384,7 @@ class TranslationCache:
         self.entries_loaded = len(index)
         self._fh.seek(0, os.SEEK_END)
 
+    # a record's keys, in the order ``store`` writes them and the loader matches them
     _FIELDS = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
     # One row per line of a block. A line in the exact form ``store`` writes
     # when no value needs a JSON escape gives its head, up to the source_text
@@ -427,16 +428,11 @@ class TranslationCache:
     def store(self, backend_id: str, source_lang: str, target_lang: str, text: str, translation: str) -> None:
         if self.scope is not None:
             self._check_scope(backend_id, source_lang, target_lang)
+        key = (backend_id, source_lang, target_lang, text)
         if self._fh is None:
-            self._index[(backend_id, source_lang, target_lang, text)] = translation
+            self._index[key] = translation
             return
-        record = {
-            "backend_id": backend_id,
-            "source_lang": source_lang,
-            "target_lang": target_lang,
-            "source_text": text,
-            "target_text": translation,
-        }
+        record = dict(zip(self._FIELDS, (*key, translation)))
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._write_lock:
             if self._torn_tail:
@@ -445,7 +441,7 @@ class TranslationCache:
                 self._torn_tail = False
             self._fh.write(line)
             self._fh.flush()
-            self._index[(backend_id, source_lang, target_lang, text)] = translation
+            self._index[key] = translation
 
     def close(self):
         if self._fh is not None and not self._fh.closed:
@@ -463,25 +459,11 @@ def MemoryCache() -> TranslationCache:
     return TranslationCache(None)
 
 
-@dataclass
-class BackendCounters:
-    """Tallies for the run report, kept by ``project_split`` on its calling thread."""
-
-    cache_hits: int = 0
-    backend_calls: int = 0
-    texts_translated: int = 0
-
-    def add(self, *, hits: int = 0, calls: int = 0, texts: int = 0):
-        self.cache_hits += hits
-        self.backend_calls += calls
-        self.texts_translated += texts
-
-
 def translate_batch(request: TranslationRequest, backend: Backend,
                     slot: threading.Semaphore | None = None) -> list[str]:
-    """One ``backend.translate`` call for request.texts, checked to return one
-    translation per text. ``HttpBackend`` releases ``slot``, a request slot
-    the caller holds, while it waits out a retry backoff."""
+    """One ``backend.translate`` call for request.texts, checked to return
+    one string translation per text. ``HttpBackend`` releases ``slot``, a
+    request slot the caller holds, while it waits out a retry backoff."""
     token = _held_slot.set(slot)
     try:
         translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
@@ -491,4 +473,6 @@ def translate_batch(request: TranslationRequest, backend: Backend,
         raise BackendProtocol(
             f"backend returned {len(translated)} translations for {len(request.texts)} texts"
         )
+    if not all(isinstance(t, str) for t in translated):
+        raise BackendProtocol(f"backend returned a translation that is not a string: {translated!r:.120}")
     return translated

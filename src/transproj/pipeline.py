@@ -14,12 +14,11 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from . import placeholder as ph
 from .backends import (
     Backend,
-    BackendCounters,
     BackendError,
     TranslationCache,
     TranslationRequest,
@@ -81,6 +80,21 @@ class SplitCounts:
 
 
 @dataclass
+class BackendCounters:
+    """Tallies for the run report, kept by ``project_split`` on its calling thread."""
+
+    backend_calls: int = 0
+    texts_translated: int = 0
+    cache_hits: int = 0
+
+
+def _add_counts(mine, theirs) -> None:
+    """Add each count field of the dataclass ``theirs`` into ``mine``."""
+    for f in fields(theirs):
+        setattr(mine, f.name, getattr(mine, f.name) + getattr(theirs, f.name))
+
+
+@dataclass
 class RunReport:
     splits: dict[str, SplitCounts] = field(default_factory=dict)
     reasons: Counter = field(default_factory=Counter)
@@ -96,31 +110,15 @@ class RunReport:
 
     def merge(self, other: "RunReport") -> None:
         for name, counts in other.splits.items():
-            mine = self.splits.setdefault(name, SplitCounts())
-            mine.total += counts.total
-            mine.projected += counts.projected
-            mine.excluded += counts.excluded
-            mine.dropped_empty += counts.dropped_empty
+            _add_counts(self.splits.setdefault(name, SplitCounts()), counts)
         self.reasons.update(other.reasons)
-        theirs = other.counters
-        self.counters.add(hits=theirs.cache_hits, calls=theirs.backend_calls,
-                          texts=theirs.texts_translated)
+        _add_counts(self.counters, other.counters)
 
     def to_dict(self) -> dict:
         return {
-            "splits": {
-                name: {
-                    "total": c.total,
-                    "projected": c.projected,
-                    "excluded": c.excluded,
-                    "dropped_empty": c.dropped_empty,
-                }
-                for name, c in self.splits.items()
-            },
+            "splits": {name: asdict(c) for name, c in self.splits.items()},
             "exclusions_by_reason": dict(self.reasons),
-            "backend_calls": self.counters.backend_calls,
-            "texts_translated": self.counters.texts_translated,
-            "cache_hits": self.counters.cache_hits,
+            **asdict(self.counters),
             "cache": {
                 "entries_loaded": self.cache_entries_loaded,
                 "corrupt_lines": self.cache_corrupt_lines,
@@ -224,8 +222,9 @@ def project_split(
     and looked up in ``cache`` once each. Only the misses are sent to the
     backend, ``batch`` at a time, so a failed request excludes only
     sentences that need one of its texts. ``parallelism`` caps the requests
-    in flight: at 1 they run on the calling thread; above 1, on
-    ``2 * parallelism`` threads sharing ``parallelism`` slots, and a batch
+    in flight: one worker sends each batch while it holds one of
+    ``parallelism`` slots. At 1 the worker runs on the calling thread, which
+    holds the one slot; above 1, on ``2 * parallelism`` threads, and a batch
     waiting out an ``HttpBackend`` retry backoff hands its slot to another.
     Under the strict policy the first failed request aborts the run and no
     batch sends after that. This is the only code that reads or writes the
@@ -266,36 +265,32 @@ def project_split(
             misses.append(text)
         else:
             translations[text] = cached
-    report.counters.add(hits=len(translations))
+    report.counters.cache_hits = len(translations)
     batches = [misses[i:i + batch] for i in range(0, len(misses), batch)]
     failures: dict[str, str] = {}
-
-    def send(texts: list[str], slot: threading.Semaphore | None = None):
-        """(translations, None), or (None, error) when the backend fails, so
-        one failed batch does not raise inside the pool."""
-        request = TranslationRequest(tuple(texts), source_lang, target_lang)
-        try:
-            return translate_batch(request, backend, slot), None
-        except BackendError as exc:
-            return None, str(exc)
-
     slots = threading.BoundedSemaphore(parallelism)
     stop = threading.Event()
 
-    def run_batch(texts: list[str]):
-        """The pool's worker: sends while holding a slot, unless the run has stopped."""
+    def send(texts: list[str]):
+        """Send one batch while holding a slot, unless the run has stopped:
+        (translations, None), or (None, error) when the backend fails, so
+        one failed batch does not raise inside the pool."""
         with slots:
             if stop.is_set():
                 return None, "not sent: the run stopped"
-            return send(texts, slots)
+            request = TranslationRequest(tuple(texts), source_lang, target_lang)
+            try:
+                return translate_batch(request, backend, slots), None
+            except BackendError as exc:
+                return None, str(exc)
 
-    # with one worker there is nothing to overlap, so requests run on this thread
+    # with one slot there is nothing to overlap, so requests run on this thread
     pool = ThreadPoolExecutor(max_workers=2 * parallelism) if parallelism > 1 else None
     try:
-        results = map(send, batches) if pool is None else pool.map(run_batch, batches)
-        for texts, (result, error) in zip(batches, results):
+        for texts, (result, error) in zip(batches, (pool.map if pool else map)(send, batches)):
             if error is None:
-                report.counters.add(calls=1, texts=len(texts))
+                report.counters.backend_calls += 1
+                report.counters.texts_translated += len(texts)
                 translations.update(zip(texts, result))
                 if cache is not None:
                     for text, out in zip(texts, result):
@@ -305,8 +300,8 @@ def project_split(
             else:
                 failures.update(dict.fromkeys(texts, error))
     finally:
+        stop.set()  # after an abort, no batch sends
         if pool is not None:
-            stop.set()  # after an abort, no batch sends
             pool.shutdown(cancel_futures=True)
 
     outcomes: list[ProjectionOutcome] = []

@@ -77,7 +77,9 @@ class StubTranslationServer:
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
         self.url = f"http://127.0.0.1:{self._server.server_port}/translate"
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+        # close() waits for serve_forever to poll, so it polls often
+        self._thread = threading.Thread(
+            target=self._server.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
         self._thread.start()
 
     def wait_for_in_flight(self, n: int, timeout: float) -> bool:

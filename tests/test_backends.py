@@ -146,6 +146,15 @@ def test_translate_batch_checks_cardinality():
         translate_batch(TranslationRequest(("a", "b"), "en", "fa"), DropsOne())
 
 
+def test_translate_batch_checks_each_translation_is_a_string():
+    class AnswersNone(IdentityBackend):
+        def translate(self, texts, source_lang, target_lang):
+            return ["a", None]
+
+    with pytest.raises(BackendProtocol, match="not a string"):
+        translate_batch(TranslationRequest(("a", "b"), "en", "fa"), AnswersNone())
+
+
 def split_of(*tokens):
     """One untagged sentence per token, so each token is one text to translate."""
     return DatasetSplit("train", [sent([t], ["O"], origin=i) for i, t in enumerate(tokens)])
@@ -289,6 +298,24 @@ def test_cache_lines_written_by_store_reload_without_json_decoding(tmp_path, mon
 
 
 _CACHE_FIELDS = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
+
+_plain_text = st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters='"\\'))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.lists(_plain_text, min_size=5, max_size=5))
+def test_every_plain_line_store_writes_takes_the_fast_loader_branch(values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        with TranslationCache(path) as cache:
+            cache.store(*values)
+        with open(path, encoding="utf-8") as fh:
+            line = fh.read()
+    match = TranslationCache._BLOCK_LINES.match(line)
+    # a non-empty head group is the store() branch; the last group is _parse_line's
+    assert match[1] and match[4] is None
+    assert [match[2], match[3]] == values[3:]
+    assert json.loads(line) == dict(zip(_CACHE_FIELDS, values))
 
 
 def _json_parse_line(line: bytes, line_no: int):

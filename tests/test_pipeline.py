@@ -14,6 +14,7 @@ from transproj.backends import (
     IdentityBackend,
     MemoryCache,
     ScramblerBackend,
+    TranslationCache,
 )
 from transproj.conll_io import DatasetSplit, InvalidSentence, parse_conll, serialize_conll, validate_scheme
 from transproj.pipeline import (
@@ -26,6 +27,9 @@ from transproj.pipeline import (
     REASON_PLACEHOLDER_LEAK,
     REASON_TOKEN_TAG_MISMATCH,
     AbortedRun,
+    BackendCounters,
+    RunReport,
+    SplitCounts,
     project_sentence,
     project_split,
 )
@@ -213,6 +217,78 @@ def test_backend_failure_lenient_vs_strict():
     assert lenient.reason == REASON_BACKEND_FAILURE
     with pytest.raises(AbortedRun):
         project_sentence(john(), FailingBackend(), "en", "fa", on_error="strict")
+
+
+class AnswersJohnWith(IdentityBackend):
+    backend_id = "answers-john-with"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def translate(self, texts, source_lang, target_lang):
+        return [self.answer if t == "John" else t for t in texts]
+
+
+@pytest.mark.parametrize("answer", [None, b"John", 7], ids=["none", "bytes", "int"])
+def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answer):
+    path = str(tmp_path / "tm.jsonl")
+    split = DatasetSplit("train", [john(0), sent(["Mary", "sings"], ["B-PER", "O"], origin=1)])
+    with TranslationCache(path) as cache:
+        out, outcomes, _ = project_split(split, AnswersJohnWith(answer), "en", "fa", batch=1,
+                                         cache=cache)
+    assert outcomes[0].reason == REASON_BACKEND_FAILURE
+    assert "not a string" in outcomes[0].detail
+    assert outcomes[1].projected and out.sentences[0].tokens == ["Mary", "sings"]
+    with TranslationCache(path) as cache:
+        assert cache.corrupt_lines == []
+        assert cache.lookup("answers-john-with", "en", "fa", "John") is None
+        assert cache.lookup("answers-john-with", "en", "fa", "Berlin") == "Berlin"
+    with open(path, encoding="utf-8") as fh:
+        assert "null" not in fh.read()
+    with pytest.raises(AbortedRun, match="not a string"):
+        project_split(split, AnswersJohnWith(answer), "en", "fa", batch=1, on_error="strict")
+
+
+# --- run report -----------------------------------------------------------------
+
+
+_counts = st.integers(min_value=0, max_value=10**6)
+_split_counts = st.builds(SplitCounts, _counts, _counts, _counts, _counts)
+_report = st.builds(
+    lambda splits, calls, texts, hits: RunReport(
+        splits=splits, counters=BackendCounters(backend_calls=calls, texts_translated=texts, cache_hits=hits)),
+    st.dictionaries(st.sampled_from(["train", "dev", "test"]), _split_counts),
+    _counts, _counts, _counts,
+)
+
+
+def _split_tuple(c):
+    return (c.total, c.projected, c.excluded, c.dropped_empty)
+
+
+def _counter_tuple(c):
+    return (c.backend_calls, c.texts_translated, c.cache_hits)
+
+
+@settings(max_examples=100, deadline=None)
+@given(mine=_report, theirs=_report)
+def test_run_report_merge_adds_every_count(mine, theirs):
+    expected = {name: _split_tuple(c) for name, c in mine.splits.items()}
+    for name, c in theirs.splits.items():
+        expected[name] = tuple(map(sum, zip(expected.get(name, (0, 0, 0, 0)), _split_tuple(c))))
+    expected_counters = tuple(map(sum, zip(_counter_tuple(mine.counters), _counter_tuple(theirs.counters))))
+    mine.merge(theirs)
+    assert {name: _split_tuple(c) for name, c in mine.splits.items()} == expected
+    assert _counter_tuple(mine.counters) == expected_counters
+
+
+def test_run_report_dict_keys_keep_their_order():
+    _, _, report = project_split(fixture_split(2), IdentityBackend(), "en", "fa")
+    as_dict = report.to_dict()
+    assert list(as_dict) == ["splits", "exclusions_by_reason", "backend_calls", "texts_translated",
+                             "cache_hits", "cache", "duration_seconds", "config"]
+    assert list(as_dict["splits"]["train"]) == ["total", "projected", "excluded", "dropped_empty"]
+    assert list(as_dict["cache"]) == ["entries_loaded", "corrupt_lines"]
 
 
 # --- project_split -------------------------------------------------------------
