@@ -462,13 +462,18 @@ def MemoryCache() -> TranslationCache:
 def translate_batch(request: TranslationRequest, backend: Backend,
                     slot: threading.Semaphore | None = None) -> list[str]:
     """One ``backend.translate`` call for request.texts, checked to return
-    one string translation per text. ``HttpBackend`` releases ``slot``, a
-    request slot the caller holds, while it waits out a retry backoff."""
+    a list or tuple of one string translation per text. ``HttpBackend``
+    releases ``slot``, a request slot the caller holds, while it waits out
+    a retry backoff."""
     token = _held_slot.set(slot)
     try:
         translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
     finally:
         _held_slot.reset(token)
+    # a str or dict has a length too, but zipping one with the texts would
+    # pair each text with a character or a key
+    if not isinstance(translated, (list, tuple)):
+        raise BackendProtocol(f"backend returned a {type(translated).__name__}, not a list of translations")
     if len(translated) != len(request.texts):
         raise BackendProtocol(
             f"backend returned {len(translated)} translations for {len(request.texts)} texts"

@@ -22,7 +22,7 @@ EXIT_IO = 5
 
 class Setting(NamedTuple):
     default: object
-    # str, int (>= 1, or a string of one), bool, or a tuple of choices
+    # str, int (>= 1, or a string of one), or a tuple of choices
     accepts: type | tuple[str, ...]
     help: str
     required: bool = False
@@ -41,10 +41,8 @@ SETTINGS = {
     "on-backend-error": Setting(pipeline.POLICY_LENIENT, pipeline.POLICIES,
                                 "lenient: exclude affected sentences; strict: abort"),
     "profile": Setting("generic", ("generic", "conll2003"),
-                       "corpus profile; conll2003 turns --normalize-iob1 on"),
+                       "corpus profile; conll2003 rewrites IOB1 input tags as IOB2"),
     "report": Setting(None, str, "also write the run report as JSON to this path"),
-    "normalize-iob1": Setting(None, bool,
-                              "rewrite IOB1 input tags to IOB2 (default: on for --profile conll2003)"),
     **{f"input-{s}": Setting(None, str, f"CoNLL file for the {s} split") for s in stats.SPLIT_ORDER},
 }
 
@@ -66,9 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     # every flag defaults to None, "not given", so a config-file value stands;
     # _effective_config checks the strings the flags carry
     for key, setting in SETTINGS.items():
-        if setting.accepts is bool:  # --<key> and --no-<key>
-            tr.add_argument(f"--{key}", dest=key, action=argparse.BooleanOptionalAction, help=setting.help)
-            continue
         metavar = "{" + ",".join(setting.accepts) + "}" if isinstance(setting.accepts, tuple) else None
         default = "" if setting.default is None else f" (default {setting.default})"
         tr.add_argument(f"--{key}", dest=key, metavar=metavar, help=setting.help + default)
@@ -152,8 +147,6 @@ def _effective_config(args) -> dict:
         raise ConfigError("source and target language codes must differ")
     if not any(cfg[f"input-{s}"] for s in stats.SPLIT_ORDER):
         raise ConfigError("at least one of --input-train/--input-dev/--input-test is required")
-    if cfg["normalize-iob1"] is None:
-        cfg["normalize-iob1"] = cfg["profile"] == "conll2003"
     return cfg
 
 
@@ -169,7 +162,7 @@ def _checked(key: str, value, accepts):
     else:
         # bool is a subclass of int
         ok = isinstance(value, accepts) and not (accepts is int and isinstance(value, bool))
-        expected = {str: "a string", int: "an integer", bool: "true or false"}[accepts]
+        expected = {str: "a string", int: "an integer"}[accepts]
     if not ok:
         raise ConfigError(f"--{key} must be {expected}, got {value!r}")
     if accepts is int and value < 1:
@@ -223,7 +216,7 @@ def cmd_translate(args) -> int:
         path = cfg[f"input-{name}"]
         if path:
             split = conll_io.parse_conll(_read_text(path), name)
-            if cfg["normalize-iob1"]:
+            if cfg["profile"] == "conll2003":
                 for sentence in split.sentences:
                     conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
             splits[name] = split

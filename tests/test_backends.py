@@ -650,6 +650,29 @@ def test_http_protocol_error_on_wrong_cardinality():
         backend.translate(["a", "b"], "en", "fa")
 
 
+def test_http_protocol_error_when_chunks_miscount_but_the_total_matches():
+    # two texts go out per request; answering 1 and then 3 translations adds
+    # up to the 4 texts, so translate_batch's count check alone would pair
+    # "b" with "c"'s translation
+    class ShiftingSession:
+        answers = [["A"], ["B", "C", "D"]]
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            translations = self.answers.pop(0)
+
+            class R:
+                status_code = 200
+
+                def json(self):
+                    return {"translations": translations}
+
+            return R()
+
+    backend = HttpBackend("http://example.invalid/t", session=ShiftingSession(), batch_size=2, rate=None)
+    with pytest.raises(BackendProtocol, match="expected 2 string translations"):
+        translate_batch(TranslationRequest(("a", "b", "c", "d"), "en", "fa"), backend)
+
+
 @pytest.mark.parametrize("body", [{"result": ["a"]}, {"translations": "a"}, ["a"]],
                          ids=["no-key", "not-a-list", "not-an-object"])
 def test_http_protocol_error_without_translations_list(body):

@@ -216,12 +216,12 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     {"batch": "lots"},
     {"parallel": 0},
     {"on-backend-error": "shrug"},
-    {"normalize-iob1": "yes"},
+    {"profile": "iob1"},
     {"backend": 123},
     {"cache": ["x"]},
     {"batch": True},
     {"parallel": 2.7},
-    {"normalize-iob1": 1},
+    {"profile": True},
     {"report": {}},
     {"input-dev": 7},
 ])
@@ -236,9 +236,8 @@ def test_config_file_rejects_bad_values(fixture_paths, tmp_path, overrides):
     assert cli.main(["translate", "--config", str(config_path)]) == 2
 
 
-# every translate setting that takes a value, by its flag and config-file key
-VALUED_SETTINGS = ["out", "src", "tgt", "backend", "cache", "batch", "parallel", "on-backend-error",
-                   "profile", "report", "input-train", "input-dev", "input-test"]
+# every translate setting takes a value, by its flag and config-file key
+VALUED_SETTINGS = list(cli.SETTINGS)
 FLAG_VALUES = ["x", "0", "-1", "2.7", "shrug", "wnut", "", "1", "7", "lenient", "strict", "generic",
                "conll2003", "en"]
 
@@ -251,10 +250,7 @@ def run_quietly(argv):
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(
-    st.tuples(st.sampled_from(VALUED_SETTINGS), st.sampled_from(FLAG_VALUES)),
-    st.tuples(st.just("normalize-iob1"), st.booleans()),
-))
+@given(st.tuples(st.sampled_from(VALUED_SETTINGS), st.sampled_from(FLAG_VALUES)))
 @example(("batch", "x"))
 def test_a_flag_and_a_config_file_value_are_checked_alike(tmp_path_factory, setting):
     key, value = setting
@@ -267,10 +263,7 @@ def test_a_flag_and_a_config_file_value_are_checked_alike(tmp_path_factory, sett
     for flag, given_value in base.items():
         if flag != key:
             argv += [f"--{flag}", given_value]
-    if isinstance(value, bool):
-        as_flag = ["--normalize-iob1" if value else "--no-normalize-iob1"]
-    else:
-        as_flag = [f"--{key}", value]
+    as_flag = [f"--{key}", value]
     config_path = where / "run.json"
     config_path.write_text(json.dumps({key: value}), encoding="utf-8")
 
@@ -513,20 +506,23 @@ def test_normalize_profile_conll2003(tmp_path):
     assert read(out / "train.conll") == "Alice B-PER\nBob I-PER\n\n"
 
 
-def test_no_normalize_flag_wins_over_profile(tmp_path):
+def test_profile_is_the_only_iob1_switch(tmp_path):
     source = tmp_path / "iob1.conll"
     source.write_text("Alice I-PER\n\n", encoding="utf-8")
     out = tmp_path / "out"
-    code = cli.main([
-        "translate", "--input-train", str(source), "--out", str(out),
-        "--src", "en", "--tgt", "fa", "--backend", "identity",
-        "--profile", "conll2003", "--no-normalize-iob1",
-    ])
-    assert code == 0
-    # left as-is: invalid IOB2, excluded rather than normalized
+    args = ["translate", "--input-train", str(source), "--out", str(out),
+            "--src", "en", "--tgt", "fa", "--backend", "identity"]
+    config_path = tmp_path / "run.json"
+    config_path.write_text('{"normalize-iob1": true}', encoding="utf-8")
+    for extra in (["--normalize-iob1"], ["--no-normalize-iob1"], ["--config", str(config_path)]):
+        assert cli.main(args + extra) == cli.EXIT_CONFIG
+    assert not out.exists()
+
+    assert cli.main(args + ["--profile", "generic"]) == 0
+    # read as given: invalid IOB2, excluded rather than rewritten
     assert read(out / "train.conll") == ""
-    record = json.loads(read(out / "exclusions.jsonl").splitlines()[0])
-    assert record["reason"] == "invalid-scheme"
+    records = [json.loads(line) for line in read(out / "exclusions.jsonl").splitlines()]
+    assert [r["reason"] for r in records] == ["invalid-scheme"]
 
 
 # --- stats ------------------------------------------------------------------

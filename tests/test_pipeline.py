@@ -249,6 +249,41 @@ def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answe
         project_split(split, AnswersJohnWith(answer), "en", "fa", batch=1, on_error="strict")
 
 
+class AnswersWith(IdentityBackend):
+    backend_id = "answers-with"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def translate(self, texts, source_lang, target_lang):
+        return self.answer(texts) if "John" in texts else texts
+
+
+# John's request holds two texts, so each answer but the generator and None
+# has as many items as texts
+@pytest.mark.parametrize("answer", [
+    lambda texts: (t for t in texts),
+    lambda texts: None,
+    lambda texts: "Jo",
+    lambda texts: {t: t for t in texts},
+], ids=["generator", "none", "str", "dict"])
+def test_an_answer_that_is_not_a_list_fails_only_its_batch(tmp_path, answer):
+    path = str(tmp_path / "tm.jsonl")
+    split = DatasetSplit("train", [john(0), sent(["Mary", "sings"], ["B-PER", "O"], origin=1)])
+    with TranslationCache(path) as cache:
+        out, outcomes, _ = project_split(split, AnswersWith(answer), "en", "fa", batch=2, cache=cache)
+    assert outcomes[0].reason == REASON_BACKEND_FAILURE
+    assert "not a list of translations" in outcomes[0].detail
+    assert outcomes[1].projected and [s.tokens for s in out.sentences] == [["Mary", "sings"]]
+    with TranslationCache(path) as cache:
+        assert cache.corrupt_lines == []
+        assert cache.lookup("answers-with", "en", "fa", "John") is None
+        assert cache.lookup("answers-with", "en", "fa", "[*0*] lives in [*1*]") is None
+        assert cache.lookup("answers-with", "en", "fa", "Mary") == "Mary"
+    with pytest.raises(AbortedRun, match="not a list of translations"):
+        project_split(split, AnswersWith(answer), "en", "fa", batch=2, on_error="strict")
+
+
 # --- run report -----------------------------------------------------------------
 
 
