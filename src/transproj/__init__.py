@@ -8,7 +8,6 @@ from .backends import (
     DictionaryBackend,
     HttpBackend,
     IdentityBackend,
-    MemoryCache,
     ScramblerBackend,
     TranslationCache,
     TranslationRequest,
@@ -58,7 +57,6 @@ __all__ = [
     "EntitySpan",
     "HttpBackend",
     "IdentityBackend",
-    "MemoryCache",
     "MaskedSentence",
     "PlaceholderHit",
     "ProjectionOutcome",

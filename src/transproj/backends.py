@@ -17,7 +17,6 @@ import logging
 import os
 import random
 import re
-import sys
 import threading
 import time
 from contextvars import ContextVar
@@ -280,7 +279,7 @@ class HttpBackend(Backend):
     def _parse_response(self, resp, expected: int):
         try:
             body = resp.json()
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise BackendProtocol(f"non-JSON response from {self.backend_id}") from exc
         translations = body.get("translations") if isinstance(body, dict) else None
         if not isinstance(translations, list):
@@ -293,19 +292,16 @@ class HttpBackend(Backend):
 
 
 class TranslationCache:
-    """Append-only JSONL translation memory.
+    """Append-only JSONL translation memory, bound to one scope.
 
     One object per line with keys backend_id, source_lang, target_lang,
-    source_text, target_text. The file is indexed in memory on open (last
-    write wins on duplicate keys); lookups are lock-free, appends go through
-    a single writer lock. An advisory flock keeps concurrent runs off the
-    same file.
-
-    ``scope=(backend_id, source_lang, target_lang)`` indexes only that
-    scope's entries, and a lookup or store outside it raises ValueError.
-    Every line is still parsed, so ``corrupt_lines`` covers all scopes.
-    ``scope=None`` indexes every scope. ``entries_loaded`` is the number of
-    entries indexed from the file.
+    source_text, target_text. ``scope=(backend_id, source_lang,
+    target_lang)`` is fixed on open: only that scope's entries are indexed,
+    by source text (last write wins on duplicates), and ``store`` writes
+    records of that scope. Every line is still parsed, so ``corrupt_lines``
+    covers all scopes. ``entries_loaded`` is the number of entries indexed
+    from the file. Lookups are lock-free, appends go through a single
+    writer lock. An advisory flock keeps concurrent runs off the same file.
 
     With ``path=None`` the cache lives in memory only: no file, no lock,
     and ``store`` only updates the index.
@@ -317,13 +313,13 @@ class TranslationCache:
     # of a 7 MB file.
     _CHUNK = 64 * 1024
 
-    def __init__(self, path: str | None = None,
-                 scope: tuple[str, str, str] | None = None):
+    def __init__(self, path: str | None, scope: tuple[str, str, str]):
         self.path = path
-        self.scope = tuple(scope) if scope is not None else None
+        self.scope = tuple(scope)
         self.corrupt_lines: list[int] = []
         self.entries_loaded = 0
-        self._index: dict[tuple[str, str, str, str], str] = {}
+        # source text -> translation, for this scope only
+        self._index: dict[str, str] = {}
         self._write_lock = threading.Lock()
         # set by _load when a crash left the last line without its newline
         self._torn_tail = False
@@ -345,10 +341,9 @@ class TranslationCache:
 
     def _load(self):
         scope, index = self.scope, self._index
-        # head of a line in store() form -> its (backend_id, source_lang,
-        # target_lang), or () when that is outside the scope; a file holds
-        # few distinct heads but many lines
-        heads: dict[str, tuple[str, ...]] = {}
+        # head of a line in store() form -> whether it is of this scope; a
+        # file holds few distinct heads but many lines
+        heads: dict[str, bool] = {}
         line_no = 0
         line = b""
         self._fh.seek(0)
@@ -362,13 +357,12 @@ class TranslationCache:
             for line, (head, source_text, target_text, _) in zip(lines, rows):
                 line_no += 1
                 if head:
-                    prefix = heads.get(head)
-                    if prefix is None:
+                    ours = heads.get(head)
+                    if ours is None:
                         # the head's values hold no quote: every fourth piece
-                        prefix = tuple(map(sys.intern, head.split('"')[3::4]))
-                        prefix = heads[head] = prefix if scope is None or prefix == scope else ()
-                    if prefix:
-                        index[(*prefix, source_text)] = target_text
+                        ours = heads[head] = tuple(head.split('"')[3::4]) == scope
+                    if ours:
+                        index[source_text] = target_text
                     continue
                 if not line.strip():
                     continue
@@ -378,8 +372,8 @@ class TranslationCache:
                     log.warning("skipping %s", exc)
                     self.corrupt_lines.append(line_no)
                     continue
-                if scope is None or key[:3] == scope:
-                    index[key] = value
+                if key[:3] == scope:
+                    index[key[3]] = value
         self._torn_tail = bool(line) and not line.endswith(b"\n")
         self.entries_loaded = len(index)
         self._fh.seek(0, os.SEEK_END)
@@ -404,35 +398,21 @@ class TranslationCache:
             raise CacheCorrupt(line_no, f"not valid UTF-8 ({exc})") from exc
         try:
             record = json.loads(text)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
             raise CacheCorrupt(line_no, f"not valid JSON ({exc})") from exc
         values = [record.get(f) for f in TranslationCache._FIELDS] if isinstance(record, dict) else [None]
         if not all(isinstance(v, str) for v in values):
             raise CacheCorrupt(line_no, "missing or non-string record fields")
-        backend_id, source_lang, target_lang, source_text, target_text = values
-        # a file holds few distinct ids and language codes but many lines
-        key = (sys.intern(backend_id), sys.intern(source_lang), sys.intern(target_lang), source_text)
-        return key, target_text
+        return tuple(values[:4]), values[4]
 
-    def _check_scope(self, backend_id: str, source_lang: str, target_lang: str) -> None:
-        if (backend_id, source_lang, target_lang) != self.scope:
-            raise ValueError(
-                f"{(backend_id, source_lang, target_lang)!r} is outside the cache scope {self.scope!r}"
-            )
+    def lookup(self, text: str) -> str | None:
+        return self._index.get(text)
 
-    def lookup(self, backend_id: str, source_lang: str, target_lang: str, text: str) -> str | None:
-        if self.scope is not None:
-            self._check_scope(backend_id, source_lang, target_lang)
-        return self._index.get((backend_id, source_lang, target_lang, text))
-
-    def store(self, backend_id: str, source_lang: str, target_lang: str, text: str, translation: str) -> None:
-        if self.scope is not None:
-            self._check_scope(backend_id, source_lang, target_lang)
-        key = (backend_id, source_lang, target_lang, text)
+    def store(self, text: str, translation: str) -> None:
         if self._fh is None:
-            self._index[key] = translation
+            self._index[text] = translation
             return
-        record = dict(zip(self._FIELDS, (*key, translation)))
+        record = dict(zip(self._FIELDS, (*self.scope, text, translation)))
         line = (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
         with self._write_lock:
             if self._torn_tail:
@@ -441,7 +421,7 @@ class TranslationCache:
                 self._torn_tail = False
             self._fh.write(line)
             self._fh.flush()
-            self._index[key] = translation
+            self._index[text] = translation
 
     def close(self):
         if self._fh is not None and not self._fh.closed:
@@ -452,11 +432,6 @@ class TranslationCache:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def MemoryCache() -> TranslationCache:
-    """An in-memory translation memo, ``TranslationCache(None)``."""
-    return TranslationCache(None)
 
 
 def translate_batch(request: TranslationRequest, backend: Backend,

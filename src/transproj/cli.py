@@ -119,7 +119,7 @@ def _load_config_file(path: str) -> dict:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must hold a flat JSON object")
@@ -225,11 +225,8 @@ def cmd_translate(args) -> int:
     if isinstance(backend, backends.HttpBackend):  # named as in exclusions.jsonl: no userinfo or query
         cfg["backend"] = backend.backend_id
     # run-wide memo even without a cache file ("" in a config file means
-    # none): a surface repeated across splits is translated only once per run.
-    # A run can only hit its own backend and language pair, so only that
-    # scope of a cache file is indexed.
-    scope = (backend.backend_id, cfg["src"], cfg["tgt"]) if cfg["cache"] else None
-    cache = backends.TranslationCache(cfg["cache"] or None, scope=scope)
+    # none): a surface repeated across splits is translated only once per run
+    cache = backends.TranslationCache(cfg["cache"] or None, (backend.backend_id, cfg["src"], cfg["tgt"]))
 
     report = pipeline.RunReport(
         config=cfg,

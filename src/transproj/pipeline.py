@@ -219,22 +219,24 @@ def project_split(
 
     Unique texts are collected across the split, so each is translated at
     most once per split, or once per run when every split shares ``cache``,
-    and looked up in ``cache`` once each. Only the misses are sent to the
-    backend, ``batch`` at a time, so a failed request excludes only
-    sentences that need one of its texts. ``parallelism`` caps the requests
-    in flight: one worker sends each batch while it holds one of
-    ``parallelism`` slots. At 1 the worker runs on the calling thread, which
-    holds the one slot; above 1, on ``2 * parallelism`` threads, and a batch
-    waiting out an ``HttpBackend`` retry backoff hands its slot to another.
-    Under the strict policy the first failed request aborts the run and no
-    batch sends after that. This is the only code that reads or writes the
-    cache and that counts into the report, on the calling thread and in
-    request order: a finished request is stored only once every earlier one
-    has returned. A slow or backing-off request does not stop the other
-    slots, so a crash loses every request that finished after the oldest
-    one not yet stored, for a rerun to send again. Output order, output
-    bytes and the cache file's bytes do not depend on parallelism for a
-    deterministic backend.
+    and looked up in ``cache`` once each. ``cache`` must be opened for the
+    scope ``(backend.backend_id, source_lang, target_lang)``; any other
+    scope raises ValueError before any lookup or request. Only the misses
+    are sent to the backend, ``batch`` at a time, so a failed request
+    excludes only sentences that need one of its texts. ``parallelism``
+    caps the requests in flight: one worker sends each batch while it holds
+    one of ``parallelism`` slots. At 1 the worker runs on the calling
+    thread, which holds the one slot; above 1, on ``2 * parallelism``
+    threads, and a batch waiting out an ``HttpBackend`` retry backoff hands
+    its slot to another. Under the strict policy the first failed request
+    aborts the run and no batch sends after that. This is the only code
+    that reads or writes the cache and that counts into the report, on the
+    calling thread and in request order: a finished request is stored only
+    once every earlier one has returned. A slow or backing-off request does
+    not stop the other slots, so a crash loses every request that finished
+    after the oldest one not yet stored, for a rerun to send again. Output
+    order, output bytes and the cache file's bytes do not depend on
+    parallelism for a deterministic backend.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -242,6 +244,9 @@ def project_split(
         raise ValueError("batch must be >= 1")
     if on_error not in POLICIES:
         raise ValueError(f"on_error must be {' or '.join(POLICIES)}, got {on_error!r}")
+    scope = (backend.backend_id, source_lang, target_lang)
+    if cache is not None and cache.scope != scope:
+        raise ValueError(f"cache scope {cache.scope!r} is not this run's {scope!r}")
     started = time.monotonic()
 
     # a tuple of texts per sentence: lists held this long raised conll_dict peak RSS ~2.7%
@@ -256,11 +261,10 @@ def project_split(
         prepared.append((sentence, masked, texts))
 
     report = RunReport()
-    backend_id = backend.backend_id
     translations: dict[str, str] = {}
     misses: list[str] = []
     for text in unique:
-        cached = None if cache is None else cache.lookup(backend_id, source_lang, target_lang, text)
+        cached = None if cache is None else cache.lookup(text)
         if cached is None:
             misses.append(text)
         else:
@@ -294,7 +298,7 @@ def project_split(
                 translations.update(zip(texts, result))
                 if cache is not None:
                     for text, out in zip(texts, result):
-                        cache.store(backend_id, source_lang, target_lang, text, out)
+                        cache.store(text, out)
             elif on_error == POLICY_STRICT:
                 raise AbortedRun(error)
             else:

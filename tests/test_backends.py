@@ -28,7 +28,7 @@ from transproj.backends import (
     translate_batch,
 )
 from transproj.conll_io import DatasetSplit
-from transproj.pipeline import project_split
+from transproj.pipeline import REASON_BACKEND_FAILURE, AbortedRun, project_split
 
 from test_conll_io import sent
 
@@ -165,7 +165,7 @@ def test_project_split_uses_cache(tmp_path):
     path = str(tmp_path / "cache.jsonl")
     reports = []
     for _ in range(2):
-        with TranslationCache(path) as cache:
+        with TranslationCache(path, ("recording", "en", "fa")) as cache:
             reports.append(project_split(split_of("x", "y"), backend, "en", "fa", cache=cache)[2])
     assert backend.calls == [["x", "y"]]
     first, second = (r.counters for r in reports)
@@ -175,32 +175,38 @@ def test_project_split_uses_cache(tmp_path):
 
 # --- cache --------------------------------------------------------------------
 
+G = ("g", "en", "fa")
+
 
 def test_cache_store_then_lookup(tmp_path):
-    with TranslationCache(str(tmp_path / "c.jsonl")) as cache:
-        cache.store("g", "en", "fa", "x", "y")
-        assert cache.lookup("g", "en", "fa", "x") == "y"
+    with TranslationCache(str(tmp_path / "c.jsonl"), G) as cache:
+        cache.store("x", "y")
+        assert cache.lookup("x") == "y"
 
 
 def test_cache_miss_on_empty(tmp_path):
-    with TranslationCache(str(tmp_path / "c.jsonl")) as cache:
-        assert cache.lookup("g", "en", "fa", "x") is None
+    with TranslationCache(str(tmp_path / "c.jsonl"), G) as cache:
+        assert cache.lookup("x") is None
 
 
 def test_cache_last_write_wins_on_reload(tmp_path):
     path = str(tmp_path / "c.jsonl")
-    with TranslationCache(path) as cache:
-        cache.store("g", "en", "fa", "x", "y")
-        cache.store("g", "en", "fa", "x", "z")
-    with TranslationCache(path) as cache:
-        assert cache.lookup("g", "en", "fa", "x") == "z"
+    with TranslationCache(path, G) as cache:
+        cache.store("x", "y")
+        cache.store("x", "z")
+    with TranslationCache(path, G) as cache:
+        assert cache.lookup("x") == "z"
 
 
 def test_cache_key_includes_backend_and_langs(tmp_path):
-    with TranslationCache(str(tmp_path / "c.jsonl")) as cache:
-        cache.store("g", "en", "fa", "x", "y")
-        assert cache.lookup("h", "en", "fa", "x") is None
-        assert cache.lookup("g", "en", "de", "x") is None
+    path = str(tmp_path / "c.jsonl")
+    with TranslationCache(path, G) as cache:
+        cache.store("x", "y")
+    for scope in (("h", "en", "fa"), ("g", "en", "de")):
+        with TranslationCache(path, scope) as cache:
+            assert cache.lookup("x") is None
+    with TranslationCache(path, G) as cache:
+        assert cache.lookup("x") == "y"
 
 
 def test_cache_corrupt_line_is_skipped_but_rest_loads(tmp_path):
@@ -209,11 +215,12 @@ def test_cache_corrupt_line_is_skipped_but_rest_loads(tmp_path):
         return json.dumps({"backend_id": "g", "source_lang": "en", "target_lang": "fa",
                            "source_text": src, "target_text": "y"})
 
-    path.write_text(f"{record('x')}\nnot json at all\n{record('a')}\n", encoding="utf-8")
-    with TranslationCache(str(path)) as cache:
-        assert cache.corrupt_lines == [2]
-        assert cache.lookup("g", "en", "fa", "x") == "y"
-        assert cache.lookup("g", "en", "fa", "a") == "y"
+    # line 4 is nested too deep for the JSON decoder
+    path.write_text(f"{record('x')}\nnot json at all\n{record('a')}\n{'[' * 100_000}\n{record('b')}\n",
+                    encoding="utf-8")
+    with TranslationCache(str(path), G) as cache:
+        assert cache.corrupt_lines == [2, 4]
+        assert cache._index == {"x": "y", "a": "y", "b": "y"}
 
 
 def test_cache_store_after_torn_tail_survives_reload(tmp_path):
@@ -222,12 +229,12 @@ def test_cache_store_after_torn_tail_survives_reload(tmp_path):
                         "source_text": "x", "target_text": "y"})
     # a crash mid-append leaves the last record cut off, with no newline
     path.write_text(whole + "\n" + whole[:20], encoding="utf-8")
-    with TranslationCache(str(path)) as cache:
+    with TranslationCache(str(path), G) as cache:
         assert cache.corrupt_lines == [2]
-        cache.store("g", "en", "fa", "a", "b")
-    with TranslationCache(str(path)) as cache:
-        assert cache.lookup("g", "en", "fa", "a") == "b"
-        assert cache.lookup("g", "en", "fa", "x") == "y"
+        cache.store("a", "b")
+    with TranslationCache(str(path), G) as cache:
+        assert cache.lookup("a") == "b"
+        assert cache.lookup("x") == "y"
         assert cache.corrupt_lines == [2]
 
 
@@ -240,59 +247,59 @@ def test_cache_torn_multibyte_tail_is_skipped(tmp_path):
     with pytest.raises(UnicodeDecodeError):
         torn.decode("utf-8")
     path.write_bytes(whole + b"\n" + torn)
-    with TranslationCache(str(path)) as cache:
+    with TranslationCache(str(path), G) as cache:
         assert cache.corrupt_lines == [2]
-        cache.store("g", "en", "fa", "a", "ب")
-    with TranslationCache(str(path)) as cache:
-        assert cache.lookup("g", "en", "fa", "x") == "سلام"
-        assert cache.lookup("g", "en", "fa", "a") == "ب"
+        cache.store("a", "ب")
+    with TranslationCache(str(path), G) as cache:
+        assert cache.lookup("x") == "سلام"
+        assert cache.lookup("a") == "ب"
         assert cache.corrupt_lines == [2]
 
 
 def test_cache_advisory_lock(tmp_path):
     path = str(tmp_path / "c.jsonl")
-    with TranslationCache(path):
+    with TranslationCache(path, G):
         with pytest.raises(CacheLocked):
-            TranslationCache(path)
+            TranslationCache(path, G)
     # released on close
-    TranslationCache(path).close()
+    TranslationCache(path, G).close()
 
 
 def test_cache_keys_distinguish_dictionaries(tmp_path):
     path = str(tmp_path / "c.jsonl")
 
-    def run(mapping, cache):
-        projected, _, report = project_split(split_of("dog"), DictionaryBackend(mapping), "en", "de",
-                                             cache=cache)
+    def run(mapping):
+        backend = DictionaryBackend(mapping)
+        with TranslationCache(path, (backend.backend_id, "en", "de")) as cache:
+            projected, _, report = project_split(split_of("dog"), backend, "en", "de", cache=cache)
         return projected.sentences[0].tokens, report.counters
 
-    with TranslationCache(path) as cache:
-        assert run({"dog": "Hund"}, cache)[0] == ["Hund"]
-    with TranslationCache(path) as cache:
-        assert run({"dog": "HUND"}, cache)[0] == ["HUND"]
-        # an equal mapping is the same configuration and hits
-        tokens, counters = run({"dog": "Hund"}, cache)
-        assert tokens == ["Hund"]
-        assert (counters.cache_hits, counters.backend_calls) == (1, 0)
+    assert run({"dog": "Hund"})[0] == ["Hund"]
+    assert run({"dog": "HUND"})[0] == ["HUND"]
+    # an equal mapping is the same configuration and hits
+    tokens, counters = run({"dog": "Hund"})
+    assert tokens == ["Hund"]
+    assert (counters.cache_hits, counters.backend_calls) == (1, 0)
 
 
 def test_cache_lines_written_by_store_reload_without_json_decoding(tmp_path, monkeypatch):
     path = str(tmp_path / "c.jsonl")
-    with TranslationCache(path) as cache:
+    scope = ("dict:0123456789ab", "en", "fa")
+    with TranslationCache(path, scope) as cache:
         for i in range(20):
-            cache.store("dict:0123456789ab", "en", "fa", f"[*0*] word {i}", f"کلمه {i} [*0*]")
+            cache.store(f"[*0*] word {i}", f"کلمه {i} [*0*]")
     calls = []
     loads = json.loads
     monkeypatch.setattr(backends.json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
-    with TranslationCache(path) as cache:
-        assert cache.lookup("dict:0123456789ab", "en", "fa", "[*0*] word 7") == "کلمه 7 [*0*]"
+    with TranslationCache(path, scope) as cache:
+        assert cache.lookup("[*0*] word 7") == "کلمه 7 [*0*]"
     # if store() and the line pattern drift apart, every line goes through JSON
     assert calls == []
 
-    with TranslationCache(path) as cache:
-        cache.store("g", "en", "fa", 'say "hi"', "x")
-    with TranslationCache(path) as cache:
-        assert cache.lookup("g", "en", "fa", 'say "hi"') == "x"
+    with TranslationCache(path, G) as cache:
+        cache.store('say "hi"', "x")
+    with TranslationCache(path, G) as cache:
+        assert cache.lookup('say "hi"') == "x"
         assert cache.corrupt_lines == []
     assert calls == [1]
 
@@ -307,8 +314,8 @@ _plain_text = st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs"), 
 def test_every_plain_line_store_writes_takes_the_fast_loader_branch(values):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.jsonl")
-        with TranslationCache(path) as cache:
-            cache.store(*values)
+        with TranslationCache(path, values[:3]) as cache:
+            cache.store(*values[3:])
         with open(path, encoding="utf-8") as fh:
             line = fh.read()
     match = TranslationCache._BLOCK_LINES.match(line)
@@ -384,35 +391,36 @@ def test_cache_parse_line_agrees_with_json_decoding(values, variant, data):
         assert TranslationCache._parse_line(line, 7) == expected
 
 
+_SCOPES = (G, ("g", "en", "de"), ("h", "en", "fa"))
+
+
 def test_cache_scope_indexes_only_its_entries(tmp_path):
     path = str(tmp_path / "c.jsonl")
-    with TranslationCache(path) as cache:
-        cache.store("g", "en", "fa", "x", "y")
-        cache.store("g", "en", "de", "x", "z")
-        cache.store("h", "en", "fa", 'say "hi"', "w")
-    with TranslationCache(path, scope=("g", "en", "fa")) as cache:
-        assert cache._index == {("g", "en", "fa", "x"): "y"}
+    for scope, text, translation in zip(_SCOPES, ("x", "x", 'say "hi"'), ("y", "z", "w")):
+        with TranslationCache(path, scope) as cache:
+            cache.store(text, translation)
+    with TranslationCache(path, G) as cache:
+        assert cache._index == {"x": "y"}
         assert cache.entries_loaded == 1
-        assert cache.lookup("g", "en", "fa", "x") == "y"
-    with TranslationCache(path, scope=("h", "en", "fa")) as cache:
-        assert cache.lookup("h", "en", "fa", 'say "hi"') == "w"
-    with TranslationCache(path) as cache:
-        assert cache.entries_loaded == 3
+        assert cache.lookup("x") == "y"
+    with TranslationCache(path, ("h", "en", "fa")) as cache:
+        assert cache._index == {'say "hi"': "w"}
+        assert cache.entries_loaded == 1
 
 
 @pytest.mark.parametrize("path", [None, "c.jsonl"])
-def test_cache_scope_rejects_lookup_and_store_outside_it(tmp_path, path):
-    with TranslationCache(path and str(tmp_path / path), scope=("g", "en", "fa")) as cache:
-        with pytest.raises(ValueError, match="outside the cache scope"):
-            cache.lookup("g", "en", "de", "x")
-        with pytest.raises(ValueError, match="outside the cache scope"):
-            cache.store("h", "en", "fa", "x", "y")
-        assert cache.lookup("g", "en", "fa", "x") is None
+def test_project_split_rejects_a_cache_of_another_scope(tmp_path, path):
+    backend = RecordingBackend()
+    # another backend, then another language pair
+    for scope in (("other", "en", "fa"), ("recording", "en", "de")):
+        with TranslationCache(path and str(tmp_path / path), scope) as cache, \
+                mock.patch.object(TranslationCache, "lookup", side_effect=AssertionError("looked up")):
+            with pytest.raises(ValueError, match="cache scope"):
+                project_split(split_of("x"), backend, "en", "fa", cache=cache)
+            assert cache._index == {}
+    assert backend.calls == []
     if path:
         assert (tmp_path / path).read_bytes() == b""
-
-
-_SCOPES = (("g", "en", "fa"), ("g", "en", "de"), ("h", "en", "fa"))
 
 
 def _reference_load(data: bytes, scope):
@@ -427,8 +435,8 @@ def _reference_load(data: bytes, scope):
         except CacheCorrupt:
             corrupt.append(line_no)
             continue
-        if scope is None or key[:3] == scope:
-            index[key] = value
+        if key[:3] == scope:
+            index[key[3]] = value
     return index, corrupt, bool(line) and not line.endswith(b"\n")
 
 
@@ -437,7 +445,7 @@ def _load_file(data: bytes, scope):
         path = os.path.join(tmp, "c.jsonl")
         with open(path, "wb") as fh:
             fh.write(data)
-        with TranslationCache(path, scope=scope) as cache:
+        with TranslationCache(path, scope) as cache:
             assert cache.entries_loaded == len(cache._index)
             return cache._index, cache.corrupt_lines, cache._torn_tail
 
@@ -473,7 +481,7 @@ def test_cache_block_loader_agrees_with_parse_line(lines, torn, chunk):
     if torn and data.endswith(b"\n"):
         data = data[:-1]
     with mock.patch.object(TranslationCache, "_CHUNK", chunk):
-        for scope in (None, _SCOPES[0]):
+        for scope in _SCOPES:
             assert _load_file(data, scope) == _reference_load(data, scope)
 
 
@@ -490,9 +498,9 @@ _stored_text = st.text(alphabet=st.one_of(
 def test_cache_cut_at_any_byte_keeps_whole_records(records, data):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.jsonl")
-        with TranslationCache(path) as cache:
-            for scope, text, translation in records:
-                cache.store(*scope, text, translation)
+        for scope, text, translation in records:
+            with TranslationCache(path, scope) as cache:
+                cache.store(text, translation)
         with open(path, "rb") as fh:
             whole = fh.read()
         # a crash may stop the writes after any byte
@@ -511,23 +519,22 @@ def test_cache_cut_at_any_byte_keeps_whole_records(records, data):
         # the cut line, if any, is the last one left
         corrupt = [whole[:cut].count(b"\n") + 1] if partial else []
 
-        for scope in (None, *_SCOPES):
-            with TranslationCache(path, scope=scope) as cache:
-                assert cache._index == {k: v for k, v in expected.items()
-                                        if scope is None or k[:3] == scope}
-                assert cache.corrupt_lines == corrupt
+        def assert_loads(expected):
+            for scope in _SCOPES:
+                with TranslationCache(path, scope) as cache:
+                    assert cache._index == {k[3]: v for k, v in expected.items() if k[:3] == scope}
+                    assert cache.corrupt_lines == corrupt
 
+        assert_loads(expected)
         scope = data.draw(st.sampled_from(_SCOPES), label="scope")
-        with TranslationCache(path, scope=scope) as cache:
-            cache.store(*scope, "next", "record")
+        with TranslationCache(path, scope) as cache:
+            cache.store("next", "record")
         with open(path, "rb") as fh:
             after = fh.read()
         line = _store_form(dict(zip(_CACHE_FIELDS, (*scope, "next", "record"))))
         torn = cut > 0 and not whole[:cut].endswith(b"\n")
         assert after == whole[:cut] + (b"\n" if torn else b"") + line
-        with TranslationCache(path) as cache:
-            assert cache._index == {**expected, (*scope, "next"): "record"}
-            assert cache.corrupt_lines == corrupt
+        assert_loads({**expected, (*scope, "next"): "record"})
 
 
 # --- token bucket ----------------------------------------------------------------
@@ -707,15 +714,40 @@ def test_http_protocol_error_on_non_json():
         backend.translate(["a"], "en", "fa")
 
 
+def test_an_http_answer_nested_too_deep_for_json_fails_only_its_batch():
+    class DeepSession:
+        def post(self, url, **kw):
+            texts = kw["json"]["texts"]
+
+            class R:
+                status_code = 200
+
+                def json(self):
+                    if "deep" in texts:
+                        return json.loads("[" * 100_000)
+                    return {"translations": texts}
+
+            return R()
+
+    backend = HttpBackend("http://example.invalid/t", session=DeepSession(), rate=None)
+    split = split_of("alpha", "deep", "beta")
+    out, outcomes, _ = project_split(split, backend, "en", "fa", batch=1)
+    assert [o.reason for o in outcomes] == [None, REASON_BACKEND_FAILURE, None]
+    assert "non-JSON response" in outcomes[1].detail
+    assert [s.tokens for s in out.sentences] == [["alpha"], ["beta"]]
+    with pytest.raises(AbortedRun, match="non-JSON response"):
+        project_split(split, backend, "en", "fa", batch=1, on_error="strict")
+
+
 def test_http_zero_calls_with_warm_cache(tmp_path, stub_server):
     stub = stub_server()
     path = str(tmp_path / "c.jsonl")
     backend = http_backend(stub.url)
     split = split_of("alpha", "beta")
-    with TranslationCache(path) as cache:
+    with TranslationCache(path, (backend.backend_id, "en", "fa")) as cache:
         first = project_split(split, backend, "en", "fa", cache=cache)[0]
     assert stub.request_count == 1
-    with TranslationCache(path) as cache:
+    with TranslationCache(path, (backend.backend_id, "en", "fa")) as cache:
         second = project_split(split, backend, "en", "fa", cache=cache)[0]
     assert stub.request_count == 1
     assert first == second
@@ -725,9 +757,10 @@ def test_cache_keys_distinguish_http_paths(tmp_path, stub_server):
     stub = stub_server()
     base = stub.url.rsplit("/", 1)[0]
     path = str(tmp_path / "c.jsonl")
-    with TranslationCache(path) as cache:
-        project_split(split_of("alpha"), http_backend(f"{base}/v1?key=s3cret"), "en", "fa", cache=cache)
-        project_split(split_of("alpha"), http_backend(f"{base}/v2?key=s3cret"), "en", "fa", cache=cache)
+    for url in (f"{base}/v1?key=s3cret", f"{base}/v2?key=s3cret"):
+        backend = http_backend(url)
+        with TranslationCache(path, (backend.backend_id, "en", "fa")) as cache:
+            project_split(split_of("alpha"), backend, "en", "fa", cache=cache)
     assert stub.request_count == 2
     # the query reaches the key written to disk only as a digest, and userinfo not at all
     backend = http_backend(f"http://user:pw@{base.split('//')[1]}/v1?key=s3cret")

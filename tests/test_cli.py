@@ -276,8 +276,9 @@ def test_a_flag_and_a_config_file_value_are_checked_alike(tmp_path_factory, sett
 @pytest.mark.parametrize("content,message", [
     (None, "config file not found"),
     ("{not json", "is not valid JSON"),
+    ("[" * 100_000, "is not valid JSON"),
     ("[1, 2]", "must hold a flat JSON object"),
-], ids=["missing", "not-json", "not-an-object"])
+], ids=["missing", "not-json", "nested-too-deep", "not-an-object"])
 def test_config_file_that_cannot_be_read_is_a_config_error(tmp_path, capsys, content, message):
     config_path = tmp_path / "run.json"
     if content is not None:
@@ -405,13 +406,16 @@ def test_translate_report_shows_loaded_scope_and_every_corrupt_line(fixture_path
         # a record of the en/de scope whose translation is not a string
         record("de", "broken").replace('"target_text": "broken"', '"target_text": 5'),
         record("fa", "kept two"),
+        # a line nested too deep for the JSON decoder
+        "[" * 100_000,
+        record("fa", "kept three"),
     ]) + "\n", encoding="utf-8")
     report_path = tmp_path / "report.json"
     code = cli.main(translate_args(fixture_paths, tmp_path / "out", cache=memory, report=report_path))
     assert code == 0
     report = json.loads(read(report_path))
-    assert report["cache"] == {"entries_loaded": 2, "corrupt_lines": [4]}
-    assert "cache: 2 entries loaded, 1 corrupt lines skipped" in capsys.readouterr().out
+    assert report["cache"] == {"entries_loaded": 3, "corrupt_lines": [4, 6]}
+    assert "cache: 3 entries loaded, 2 corrupt lines skipped" in capsys.readouterr().out
 
 
 def test_translate_releases_the_cache_when_out_cannot_be_made(fixture_paths, tmp_path, capsys):
@@ -422,7 +426,7 @@ def test_translate_releases_the_cache_when_out_cannot_be_made(fixture_paths, tmp
     assert code == 5
     assert "i/o error" in capsys.readouterr().err
     # the run closed the file, so its lock is free at once
-    backends.TranslationCache(str(memory)).close()
+    backends.TranslationCache(str(memory), ("identity", "en", "fa")).close()
 
 
 def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, tmp_path, stub_server):
@@ -438,20 +442,21 @@ def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, 
             texts.update(dict.fromkeys([masked.template] + [e.surface for e in masked.entities]))
     unique = list(dict.fromkeys(t for texts in split_texts.values() for t in texts))
     memory, expected = tmp_path / "c.jsonl", tmp_path / "expected.jsonl"
-    with backends.TranslationCache(str(memory)) as cache:
+    scope = (backend_id, "en", "fa")
+    with backends.TranslationCache(str(memory), scope) as cache:
         for text in unique[::2]:
-            cache.store(backend_id, "en", "fa", text, text)
+            cache.store(text, text)
     expected.write_bytes(memory.read_bytes())
 
     # what one request per batch of misses adds: each split's misses in
     # order, a text met in an earlier split being in the run's memory by then
     known, posts = set(unique[::2]), 0
-    with backends.TranslationCache(str(expected)) as cache:
+    with backends.TranslationCache(str(expected), scope) as cache:
         for texts in split_texts.values():
             misses = [t for t in texts if t not in known]
             posts += -(-len(misses) // batch)
             for text in misses:
-                cache.store(backend_id, "en", "fa", text, text)
+                cache.store(text, text)
             known.update(misses)
 
     code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"http:{stub.url}",

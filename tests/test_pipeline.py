@@ -12,7 +12,6 @@ from transproj.backends import (
     BackendUnavailable,
     DictionaryBackend,
     IdentityBackend,
-    MemoryCache,
     ScramblerBackend,
     TranslationCache,
 )
@@ -233,16 +232,17 @@ class AnswersJohnWith(IdentityBackend):
 def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answer):
     path = str(tmp_path / "tm.jsonl")
     split = DatasetSplit("train", [john(0), sent(["Mary", "sings"], ["B-PER", "O"], origin=1)])
-    with TranslationCache(path) as cache:
+    scope = ("answers-john-with", "en", "fa")
+    with TranslationCache(path, scope) as cache:
         out, outcomes, _ = project_split(split, AnswersJohnWith(answer), "en", "fa", batch=1,
                                          cache=cache)
     assert outcomes[0].reason == REASON_BACKEND_FAILURE
     assert "not a string" in outcomes[0].detail
     assert outcomes[1].projected and out.sentences[0].tokens == ["Mary", "sings"]
-    with TranslationCache(path) as cache:
+    with TranslationCache(path, scope) as cache:
         assert cache.corrupt_lines == []
-        assert cache.lookup("answers-john-with", "en", "fa", "John") is None
-        assert cache.lookup("answers-john-with", "en", "fa", "Berlin") == "Berlin"
+        assert cache.lookup("John") is None
+        assert cache.lookup("Berlin") == "Berlin"
     with open(path, encoding="utf-8") as fh:
         assert "null" not in fh.read()
     with pytest.raises(AbortedRun, match="not a string"):
@@ -270,16 +270,17 @@ class AnswersWith(IdentityBackend):
 def test_an_answer_that_is_not_a_list_fails_only_its_batch(tmp_path, answer):
     path = str(tmp_path / "tm.jsonl")
     split = DatasetSplit("train", [john(0), sent(["Mary", "sings"], ["B-PER", "O"], origin=1)])
-    with TranslationCache(path) as cache:
+    scope = ("answers-with", "en", "fa")
+    with TranslationCache(path, scope) as cache:
         out, outcomes, _ = project_split(split, AnswersWith(answer), "en", "fa", batch=2, cache=cache)
     assert outcomes[0].reason == REASON_BACKEND_FAILURE
     assert "not a list of translations" in outcomes[0].detail
     assert outcomes[1].projected and [s.tokens for s in out.sentences] == [["Mary", "sings"]]
-    with TranslationCache(path) as cache:
+    with TranslationCache(path, scope) as cache:
         assert cache.corrupt_lines == []
-        assert cache.lookup("answers-with", "en", "fa", "John") is None
-        assert cache.lookup("answers-with", "en", "fa", "[*0*] lives in [*1*]") is None
-        assert cache.lookup("answers-with", "en", "fa", "Mary") == "Mary"
+        assert cache.lookup("John") is None
+        assert cache.lookup("[*0*] lives in [*1*]") is None
+        assert cache.lookup("Mary") == "Mary"
     with pytest.raises(AbortedRun, match="not a list of translations"):
         project_split(split, AnswersWith(answer), "en", "fa", batch=2, on_error="strict")
 
@@ -442,9 +443,9 @@ def masked_texts(s):
 def test_cached_sentence_survives_a_failing_request():
     # only misses ride in a request, so the failure cannot reach the cached sentence
     cached, uncached = john(0), sent(["Mary", "left"], ["B-PER", "O"], origin=1)
-    memo = MemoryCache()
+    memo = TranslationCache(None, (FailingBackend.backend_id, "en", "fa"))
     for text in masked_texts(cached):
-        memo.store(FailingBackend.backend_id, "en", "fa", text, text)
+        memo.store(text, text)
     split = DatasetSplit("train", [cached, uncached])
     out, outcomes, report = project_split(split, FailingBackend(), "en", "fa", cache=memo)
     assert outcomes[0].projected
@@ -482,10 +483,9 @@ def test_dict_projection_matches_golden(data_dir):
 
 def test_shared_memo_dedups_across_splits():
     from test_backends import RecordingBackend
-    from transproj.backends import MemoryCache
 
     backend = RecordingBackend()
-    memo = MemoryCache()
+    memo = TranslationCache(None, (backend.backend_id, "en", "fa"))
     train = DatasetSplit("train", [sent(["Shared", "word"], ["B-PER", "O"], 0)])
     dev = DatasetSplit("dev", [sent(["Shared", "term"], ["B-PER", "O"], 0)])
     project_split(train, backend, "en", "fa", cache=memo)
@@ -673,9 +673,9 @@ def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(spl
     misses = [t for t in texts if t not in cached]
 
     def run(backend, on_error):
-        memo = MemoryCache()
+        memo = TranslationCache(None, (backend.backend_id, "en", "fa"))
         for text in cached:
-            memo.store(backend.backend_id, "en", "fa", text, text)
+            memo.store(text, text)
         return project_split(split, backend, "en", "fa", batch=batch, parallelism=parallelism,
                              cache=memo, on_error=on_error)
 
