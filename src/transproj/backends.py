@@ -31,6 +31,8 @@ log = logging.getLogger(__name__)
 
 API_KEY_ENV = "TRANSPROJ_API_KEY"
 
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
 # the request slot that translate_batch's caller holds, if any
 _held_slot: ContextVar[threading.Semaphore | None] = ContextVar("_held_slot", default=None)
 
@@ -298,10 +300,12 @@ class TranslationCache:
     source_text, target_text. ``scope=(backend_id, source_lang,
     target_lang)`` is fixed on open: only that scope's entries are indexed,
     by source text (last write wins on duplicates), and ``store`` writes
-    records of that scope. Every line is still parsed, so ``corrupt_lines``
-    covers all scopes. ``entries_loaded`` is the number of entries indexed
-    from the file. Lookups are lock-free, appends go through a single
-    writer lock. An advisory flock keeps concurrent runs off the same file.
+    records of that scope. A line in ``store`` form is indexed when its
+    head, up to source_text, is the one ``store`` writes for this scope.
+    Lines of other scopes are still checked, so ``corrupt_lines`` covers
+    all scopes. ``entries_loaded`` is the number of entries indexed from
+    the file. Lookups are lock-free, appends go through a single writer
+    lock. An advisory flock keeps concurrent runs off the same file.
 
     With ``path=None`` the cache lives in memory only: no file, no lock,
     and ``store`` only updates the index.
@@ -341,9 +345,10 @@ class TranslationCache:
 
     def _load(self):
         scope, index = self.scope, self._index
-        # head of a line in store() form -> whether it is of this scope; a
-        # file holds few distinct heads but many lines
-        heads: dict[str, bool] = {}
+        # the head store() writes for this scope, up to the source_text key; a
+        # scope value that needs a JSON escape puts a backslash in it, which
+        # _BLOCK_LINES never matches, so such lines take _parse_line below
+        ours = json.dumps(dict(zip(self._FIELDS, scope)), ensure_ascii=False)[:-1] + ", "
         line_no = 0
         line = b""
         self._fh.seek(0)
@@ -357,11 +362,7 @@ class TranslationCache:
             for line, (head, source_text, target_text, _) in zip(lines, rows):
                 line_no += 1
                 if head:
-                    ours = heads.get(head)
-                    if ours is None:
-                        # the head's values hold no quote: every fourth piece
-                        ours = heads[head] = tuple(head.split('"')[3::4]) == scope
-                    if ours:
+                    if head == ours:
                         index[source_text] = target_text
                     continue
                 if not line.strip():
@@ -455,4 +456,8 @@ def translate_batch(request: TranslationRequest, backend: Backend,
         )
     if not all(isinstance(t, str) for t in translated):
         raise BackendProtocol(f"backend returned a translation that is not a string: {translated!r:.120}")
+    # a lone surrogate (JSON can carry "\ud800") has no UTF-8 form; repr escapes it
+    unencodable = next(filter(_LONE_SURROGATE.search, translated), None)
+    if unencodable is not None:
+        raise BackendProtocol(f"backend returned a translation that is not valid UTF-8: {unencodable!r:.120}")
     return translated

@@ -304,7 +304,7 @@ def cmd_stats(args) -> int:
     corpora = [(args.name, _corpus_stats(args.train, args.dev, args.test))]
     if any((args.vs_train, args.vs_dev, args.vs_test)):
         corpora.append((args.vs_name, _corpus_stats(args.vs_train, args.vs_dev, args.vs_test)))
-    sys.stdout.write(stats.render_stats_table(corpora, delta=len(corpora) == 2))
+    sys.stdout.write(stats.render_stats_table(corpora))
     if args.json_path:
         _write_json(args.json_path, stats.stats_report(corpora))
     return EXIT_OK

@@ -124,18 +124,13 @@ def _row(label: str, by_split: dict, overall: SplitStats | DeltaStats) -> list[s
     return [label, *("-" if v is None else str(v) for v in (*values, overall.avg_rounded))]
 
 
-def render_stats_table(
-    corpora: list[tuple[str, dict[str, SplitStats]]],
-    delta: bool = False,
-) -> str:
+def render_stats_table(corpora: list[tuple[str, dict[str, SplitStats]]]) -> str:
     """Aligned text table: one row per corpus with per-split instance counts
     and the overall rounded average token count, plus one delta row when two
-    corpora are given and delta is requested."""
+    corpora are given."""
     header = ["dataset", *SPLIT_ORDER, "avg"]
     rows = [header] + [_row(name, by_split, _overall(by_split)) for name, by_split in corpora]
-    if delta:
-        if len(corpora) != 2:
-            raise ValueError("delta row needs exactly two corpora")
+    if len(corpora) == 2:
         (src_name, src), (tgt_name, tgt) = corpora
         rows.append(_row(f"Δ {tgt_name}-{src_name}", *_deltas(src, tgt)))
 

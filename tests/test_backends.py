@@ -408,6 +408,39 @@ def test_cache_scope_indexes_only_its_entries(tmp_path):
         assert cache.entries_loaded == 1
 
 
+# any text UTF-8 can hold, rich in what JSON escapes and in what it does not
+_utf8_text = st.text(alphabet=st.one_of(
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\x85", "\xa0", "\u2028",
+                     "\U0001f600", "ب", "a", "0", " "]),
+    st.characters(blacklist_categories=("Cs",)),
+), max_size=4)
+
+
+def _needs_json_escape(value: str) -> bool:
+    return any(c in '"\\' or c < " " for c in value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(scopes=st.lists(st.tuples(_utf8_text, _utf8_text, _utf8_text), min_size=1, max_size=6, unique=True),
+       data=st.data())
+def test_each_scope_reloads_exactly_its_own_records(scopes, data):
+    records = data.draw(st.lists(st.tuples(st.sampled_from(scopes), _utf8_text, _utf8_text),
+                                 min_size=1, max_size=8), label="records")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.jsonl")
+        for scope, text, translation in records:
+            with TranslationCache(path, scope) as cache:
+                cache.store(text, translation)
+        # a line goes through JSON only if one of its values needs an escape
+        escaped = sum(any(map(_needs_json_escape, (*scope, *texts))) for scope, *texts in records)
+        for scope in scopes:
+            with mock.patch.object(backends.json, "loads", wraps=json.loads) as loads, \
+                    TranslationCache(path, scope) as cache:
+                assert cache._index == {text: translation for s, text, translation in records if s == scope}
+                assert cache.corrupt_lines == []
+            assert loads.call_count == escaped
+
+
 @pytest.mark.parametrize("path", [None, "c.jsonl"])
 def test_project_split_rejects_a_cache_of_another_scope(tmp_path, path):
     backend = RecordingBackend()

@@ -110,6 +110,21 @@ def test_translate_lenient_backend_failure_excludes_everything(fixture_paths, tm
     assert {r["split"] for r in records} == {"train", "dev", "test"}
 
 
+def test_a_translation_with_no_utf8_form_excludes_its_sentences(fixture_paths, tmp_path, monkeypatch):
+    class AnswersBerlinWithALoneSurrogate(backends.IdentityBackend):
+        def translate(self, texts, source_lang, target_lang):
+            return [t + "\ud800" if t == "Berlin" else t for t in texts]
+
+    monkeypatch.setattr(cli, "_make_backend", lambda spec, batch: AnswersBerlinWithALoneSurrogate())
+    out = tmp_path / "out"
+    assert cli.main(translate_args(fixture_paths, out, batch=1)) == 0
+    # read() decodes strictly
+    assert "Berlin" not in "".join(read(out / f"{name}.conll") for name in ("train", "dev", "test"))
+    records = [json.loads(line) for line in read(out / "exclusions.jsonl").splitlines()]
+    assert records and {r["reason"] for r in records} == {"backend-failure"}
+    assert all(r["detail"].endswith(r"not valid UTF-8: 'Berlin\ud800'") for r in records)
+
+
 @pytest.mark.parametrize("service", ["503", "nothing-listening"])
 def test_backend_failure_text_holds_no_credentials(fixture_paths, tmp_path, monkeypatch, capsys,
                                                    stub_server, service):

@@ -1,3 +1,4 @@
+import re
 import sys
 import threading
 import time
@@ -228,8 +229,14 @@ class AnswersJohnWith(IdentityBackend):
         return [self.answer if t == "John" else t for t in texts]
 
 
-@pytest.mark.parametrize("answer", [None, b"John", 7], ids=["none", "bytes", "int"])
-def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answer):
+@pytest.mark.parametrize("answer, detail", [
+    (None, "not a string"),
+    (b"John", "not a string"),
+    (7, "not a string"),
+    # JSON can carry a lone surrogate, which has no UTF-8 form
+    ("John\ud800", r"not valid UTF-8: 'John\ud800'"),
+], ids=["none", "bytes", "int", "lone-surrogate"])
+def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answer, detail):
     path = str(tmp_path / "tm.jsonl")
     split = DatasetSplit("train", [john(0), sent(["Mary", "sings"], ["B-PER", "O"], origin=1)])
     scope = ("answers-john-with", "en", "fa")
@@ -237,7 +244,8 @@ def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answe
         out, outcomes, _ = project_split(split, AnswersJohnWith(answer), "en", "fa", batch=1,
                                          cache=cache)
     assert outcomes[0].reason == REASON_BACKEND_FAILURE
-    assert "not a string" in outcomes[0].detail
+    assert detail in outcomes[0].detail
+    outcomes[0].detail.encode("utf-8")  # exclusions.jsonl can hold it
     assert outcomes[1].projected and out.sentences[0].tokens == ["Mary", "sings"]
     with TranslationCache(path, scope) as cache:
         assert cache.corrupt_lines == []
@@ -245,7 +253,7 @@ def test_a_translation_that_is_not_a_string_fails_only_its_batch(tmp_path, answe
         assert cache.lookup("Berlin") == "Berlin"
     with open(path, encoding="utf-8") as fh:
         assert "null" not in fh.read()
-    with pytest.raises(AbortedRun, match="not a string"):
+    with pytest.raises(AbortedRun, match=re.escape(detail)):
         project_split(split, AnswersJohnWith(answer), "en", "fa", batch=1, on_error="strict")
 
 

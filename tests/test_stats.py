@@ -115,7 +115,7 @@ def test_overall_combines():
 def test_render_table_layout():
     en = {"train": SplitStats("train", 2, 8, {}), "test": SplitStats("test", 1, 4, {})}
     fa = {"train": SplitStats("train", 1, 4, {}), "test": SplitStats("test", 1, 4, {})}
-    table = render_stats_table([("en", en), ("fa", fa)], delta=True)
+    table = render_stats_table([("en", en), ("fa", fa)])
     lines = table.splitlines()
     assert lines[0].split() == ["dataset", "train", "dev", "test", "avg"]
     assert lines[1].split() == ["en", "2", "-", "1", "4"]
@@ -124,6 +124,9 @@ def test_render_table_layout():
     assert table.endswith("\n")
 
 
-def test_render_table_delta_requires_two():
-    with pytest.raises(ValueError):
-        render_stats_table([("en", {"train": SplitStats("train", 1, 1, {})})], delta=True)
+def test_render_table_of_one_corpus_has_no_delta_row():
+    table = render_stats_table([("en", {"train": SplitStats("train", 1, 1, {})})])
+    assert [line.split() for line in table.splitlines()] == [
+        ["dataset", "train", "dev", "test", "avg"],
+        ["en", "1", "-", "-", "1"],
+    ]
