@@ -353,11 +353,9 @@ class TranslationCache:
         line = b""
         self._fh.seek(0)
         while lines := self._fh.readlines(self._CHUNK):
-            try:
-                rows = self._BLOCK_LINES.findall(b"".join(lines).decode("utf-8"))
-            except UnicodeDecodeError:
-                # no row in store() form: _parse_line decodes line by line
-                rows = [("",) * 4] * len(lines)
+            # a byte that is not UTF-8 decodes to U+DC80-U+DCFF, which valid
+            # UTF-8 never does and _BLOCK_LINES bars, so its line takes _parse_line
+            rows = self._BLOCK_LINES.findall(b"".join(lines).decode("utf-8", "surrogateescape"))
             # a block ending in "\n" yields one empty row too many; zip drops it
             for line, (head, source_text, target_text, _) in zip(lines, rows):
                 line_no += 1
@@ -377,7 +375,6 @@ class TranslationCache:
                     index[key[3]] = value
         self._torn_tail = bool(line) and not line.endswith(b"\n")
         self.entries_loaded = len(index)
-        self._fh.seek(0, os.SEEK_END)
 
     # a record's keys, in the order ``store`` writes them and the loader matches them
     _FIELDS = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
@@ -386,8 +383,8 @@ class TranslationCache:
     # key, and its last two values, which are the strings ``json.loads`` would
     # return; any other line is the last group.
     _BLOCK_LINES = re.compile(
-        "^(?:({" + "".join(rf'"{f}": "[^"\\\x00-\x1f]*", ' for f in _FIELDS[:3]) + ")"
-        + ", ".join(rf'"{f}": "([^"\\\x00-\x1f]*)"' for f in _FIELDS[3:]) + "}|(.*))$",
+        "^(?:({" + "".join(rf'"{f}": "[^"\\\x00-\x1f\udc80-\udcff]*", ' for f in _FIELDS[:3]) + ")"
+        + ", ".join(rf'"{f}": "([^"\\\x00-\x1f\udc80-\udcff]*)"' for f in _FIELDS[3:]) + "}|(.*))$",
         re.MULTILINE,
     )
 

@@ -172,7 +172,7 @@ def _finish(
     reason = ph.count_check(masked, template, hits)
     if reason is not None:
         return ProjectionOutcome(origin, reason=reason, detail=template)
-    # count_check passed, so unmask cannot raise DuplicateIndex or UnknownIndex
+    # count_check passed, so unmask cannot raise DuplicateIndex, UnknownIndex or MissingIndex
     try:
         out = ph.unmask(template, entities, [e.label for e in masked.entities], index, hits)
     except ph.EmptyEntityTranslation as exc:
@@ -180,8 +180,16 @@ def _finish(
     except InvalidSentence as exc:
         return ProjectionOutcome(origin, reason=REASON_TOKEN_TAG_MISMATCH, detail=str(exc))
     # An entity translated into placeholder syntax, alone or together with a
-    # neighbouring template word, would reach the corpus as an entity token.
-    if ph.PLACEHOLDER_RE.search(" ".join(out.tokens)):
+    # neighbouring template word, would reach the corpus as an entity token;
+    # a placeholder fragment the source did not hold ("[*", "*0*") would
+    # reach it as an O token. Every fragment holds a star, and three
+    # substring tests cost far less than one fragment search.
+    text = " ".join(out.tokens)
+    if ph.PLACEHOLDER_RE.search(text) or (
+        ("*" in text or "＊" in text or "٭" in text)
+        and (leaked := len(ph.PLACEHOLDER_FRAGMENT_RE.findall(text)))
+        and leaked > len(ph.PLACEHOLDER_FRAGMENT_RE.findall(" ".join(sentence.tokens)))
+    ):
         return ProjectionOutcome(origin, reason=REASON_PLACEHOLDER_LEAK, detail=template)
     return ProjectionOutcome(origin, sentence=out)
 

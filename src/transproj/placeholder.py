@@ -26,6 +26,17 @@ REASON_DUPLICATE = "duplicate-placeholder"
 _DIGITS = "0-9٠-٩۰-۹"
 PLACEHOLDER_RE = re.compile(rf"\[\s*\*\s*([{_DIGITS}]+)\s*\*\s*\]")
 
+# What an engine may leave of a placeholder it mangled: "[" or "［" then a
+# star, a star then "]" or "］", or digits between two stars, where a star is
+# "*", "＊" or "٭", and whitespace or invisible format characters (soft
+# hyphen, bidi marks and embeddings, zero-width characters, BOM) may stand
+# between the parts. Every fragment holds a star.
+_STARS = "*＊٭"
+_GAP = r"[\s\u00ad\u061c\u200b-\u200f\u202a-\u202e\u2060-\u2064\ufeff]*"
+PLACEHOLDER_FRAGMENT_RE = re.compile(
+    rf"[\[［]{_GAP}[{_STARS}]|[{_STARS}]{_GAP}[\]］]|[{_STARS}]{_GAP}[{_DIGITS}]+{_GAP}[{_STARS}]"
+)
+
 
 class PatternCollision(ValueError):
     pass
@@ -36,6 +47,10 @@ class UnknownIndex(ValueError):
 
 
 class DuplicateIndex(ValueError):
+    pass
+
+
+class MissingIndex(ValueError):
     pass
 
 
@@ -143,7 +158,8 @@ def unmask(
     split on whitespace and tagged O, so a placeholder glued to punctuation
     still splits off. ``hits`` are the template's placeholders, in order,
     when the caller has already scanned it; an index out of range raises
-    UnknownIndex and a repeated one DuplicateIndex.
+    UnknownIndex, a repeated one DuplicateIndex, and an entity with no
+    placeholder MissingIndex.
     """
     if len(translated_entities) != len(labels):
         raise ValueError(
@@ -172,6 +188,9 @@ def unmask(
         tokens += words + ent_words
         tags += [outside] * len(words) + [Tag.begin(label)] + [Tag.inside(label)] * (len(ent_words) - 1)
         last = hit.end
+    if len(seen) < len(translated_entities):
+        missing = min(set(range(len(translated_entities))) - seen)
+        raise MissingIndex(f"placeholder index {missing} is missing")
     words = translated_template[last:].split()
     tokens += words
     tags += [outside] * len(words)

@@ -304,6 +304,26 @@ def test_cache_lines_written_by_store_reload_without_json_decoding(tmp_path, mon
     assert calls == [1]
 
 
+def test_a_line_that_is_not_utf8_leaves_the_rest_of_its_block_on_the_fast_path(tmp_path, monkeypatch, caplog):
+    path = str(tmp_path / "c.jsonl")
+    with TranslationCache(path, G) as cache:
+        for i in range(50):
+            cache.store(f"word {i}", f"کلمه {i}")
+    with open(path, "ab") as fh:
+        fh.write(b'{"backend_id": "\xff"}\n')
+    with TranslationCache(path, G) as cache:
+        cache.store("word 50", "کلمه 50")
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(backends.json, "loads", lambda *a, **k: calls.append(1) or loads(*a, **k))
+    with TranslationCache(path, G) as cache:
+        assert cache.entries_loaded == 51
+        assert cache.corrupt_lines == [51]
+        assert cache.lookup("word 50") == "کلمه 50"
+    assert calls == []
+    assert "cache line 51: not valid UTF-8" in caplog.text
+
+
 _CACHE_FIELDS = ("backend_id", "source_lang", "target_lang", "source_text", "target_text")
 
 _plain_text = st.text(alphabet=st.characters(blacklist_categories=("Cc", "Cs"), blacklist_characters='"\\'))

@@ -34,6 +34,7 @@ from transproj.pipeline import (
     project_split,
 )
 from transproj.placeholder import (
+    PLACEHOLDER_FRAGMENT_RE,
     PLACEHOLDER_RE,
     EmptyEntityTranslation,
     PatternCollision,
@@ -190,6 +191,42 @@ def test_entity_translated_to_placeholder_is_leak(mapping):
     outcome = project_sentence(john(), MapTexts(mapping), "en", "fa")
     assert outcome.reason == REASON_PLACEHOLDER_LEAK
     assert outcome.detail == mapping.get("[*0*] lives in [*1*]", "[*0*] lives in [*1*]")
+
+
+class AppendsToTemplate(IdentityBackend):
+    """Identity, except that a text holding ``[*0*]`` gets ``extra`` appended."""
+
+    backend_id = "appends"
+
+    def __init__(self, extra):
+        self.extra = extra
+
+    def translate(self, texts, source_lang, target_lang):
+        return [f"{t} {self.extra}" if "[*0*]" in t else t for t in texts]
+
+
+@pytest.mark.parametrize("extra, reason", [
+    ("[\u200f*0*]", REASON_PLACEHOLDER_LEAK),  # right-to-left mark
+    ("[*\u200c0*]", REASON_PLACEHOLDER_LEAK),  # zero-width non-joiner
+    ("［＊0＊］", REASON_PLACEHOLDER_LEAK),
+    ("[٭0٭]", REASON_PLACEHOLDER_LEAK),
+    ("*0*]", REASON_PLACEHOLDER_LEAK),
+    ("[*0*", REASON_PLACEHOLDER_LEAK),
+    ("[*", REASON_PLACEHOLDER_LEAK),
+    ("[ *0 *]", REASON_DUPLICATE),
+], ids=["rlm", "zwnj", "fullwidth", "arabic-star", "unopened", "unclosed", "opening", "spaced"])
+def test_placeholder_residue_in_translation_is_excluded(extra, reason):
+    # the whole placeholder survives, so only the residue could reach the corpus, as an O token
+    outcome = project_sentence(sent(["John", "lives", "here"], ["B-PER", "O", "O"]),
+                               AppendsToTemplate(extra), "en", "fa")
+    assert (outcome.reason, outcome.detail) == (reason, f"[*0*] lives here {extra}")
+
+
+def test_placeholder_fragments_the_source_holds_still_project():
+    s = sent(["[*", "John", "*]"], ["O", "B-PER", "O"])
+    outcome = project_sentence(s, IdentityBackend(), "en", "fa")
+    assert outcome.projected
+    assert (outcome.sentence.tokens, outcome.sentence.tags) == (s.tokens, s.tags)
 
 
 @pytest.mark.parametrize("mapping", [
@@ -613,7 +650,9 @@ def reference_finish(s, masked, translated):
         return REASON_EMPTY_ENTITY, str(exc), None
     except InvalidSentence as exc:
         return REASON_TOKEN_TAG_MISMATCH, str(exc), None
-    if PLACEHOLDER_RE.search(" ".join(out.tokens)):
+    text = " ".join(out.tokens)
+    fragments = PLACEHOLDER_FRAGMENT_RE.findall
+    if PLACEHOLDER_RE.search(text) or len(fragments(text)) > len(fragments(" ".join(s.tokens))):
         return REASON_PLACEHOLDER_LEAK, template, None
     return None, None, out
 

@@ -10,6 +10,7 @@ from transproj.placeholder import (
     DuplicateIndex,
     EmptyEntityTranslation,
     MaskedSentence,
+    MissingIndex,
     PatternCollision,
     UnknownIndex,
     count_check,
@@ -117,6 +118,14 @@ def test_unmask_unknown_index():
 def test_unmask_duplicate_index():
     with pytest.raises(DuplicateIndex):
         unmask("[*0*] and [*0*]", ["a"], ["PER"])
+
+
+def test_unmask_missing_index_names_it():
+    # an entity whose placeholder the translation dropped must not vanish from the output
+    with pytest.raises(MissingIndex, match="placeholder index 0 is missing"):
+        unmask("hello", ["John"], ["PER"])
+    with pytest.raises(MissingIndex, match="placeholder index 1 is missing"):
+        unmask("[*2*] [*0*]", ["a", "b", "c"], ["PER", "LOC", "ORG"])
 
 
 def test_unmask_empty_entity_translation():
@@ -304,6 +313,8 @@ def reference_unmask(template, entities, labels, origin_index=0):
         if hit.index in seen:
             raise DuplicateIndex(f"placeholder index {hit.index} occurs more than once")
         seen.add(hit.index)
+    if len(seen) < len(entities):
+        raise MissingIndex(f"placeholder index {min(set(range(len(entities))) - seen)} is missing")
     base = "\ue000"
     while base in template:
         base += "\ue000"
