@@ -1,12 +1,13 @@
 """Translation backends behind one batch contract, plus the file cache.
 
 Every backend maps an ordered list of texts to an equally long list of
-translations. The identity, dictionary, and scrambler backends are
-deterministic stand-ins that make the pipeline testable offline; the HTTP
-backend talks to any JSON service implementing the plain
-``{"texts": [...], "source": ..., "target": ...}`` → ``{"translations":
-[...]}`` protocol, one request at a time, with retries and a token-bucket
-rate limit. Each ``backend_id`` names the backend's configuration.
+translations; one ``project_split`` batch is one ``translate`` call. The
+identity, dictionary, and scrambler backends are deterministic stand-ins
+that make the pipeline testable offline; the HTTP backend talks to any
+JSON service implementing the plain ``{"texts": [...], "source": ...,
+"target": ...}`` → ``{"translations": [...]}`` protocol, one request per
+call plus its retries, with a token-bucket rate limit. Each
+``backend_id`` names the backend's configuration.
 """
 
 from __future__ import annotations
@@ -189,15 +190,17 @@ class HttpBackend(Backend):
     """Generic JSON translation service adapter.
 
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
-    [...]}`` in input order. Texts are sent ``batch_size`` at a time, one
-    request after another; transport errors and 5xx answers are retried
-    with exponential backoff (doubling from ``backoff_base``) and jitter.
+    [...]}`` in input order. One ``translate`` call is one request plus
+    its retries, so batch through ``project_split(batch=...)``. Transport
+    errors and 5xx answers are retried with exponential backoff (doubling
+    from ``backoff_base``) and jitter.
     ``backend_id`` is the URL without userinfo, query or fragment, followed
     by ``?`` and 12 hex digits of the SHA-256 of the query when there is
     one: two URLs share cache entries only when they differ in nothing but
     userinfo and fragment, and no secret in the query reaches a cache file
     in clear. A URL that is not a full, parseable ``http(s)://host/path``
-    URL raises ValueError.
+    URL raises ValueError, as do a negative ``retries``, ``rate`` (``None``
+    or 0: no limit) or ``backoff_base`` and a ``timeout`` that is not > 0.
     """
 
     def __init__(
@@ -205,15 +208,14 @@ class HttpBackend(Backend):
         url: str,
         *,
         api_key: str | None = None,
-        batch_size: int = 32,
         retries: int = 3,
         backoff_base: float = 0.5,
         rate: float | None = 5.0,
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+        if retries < 0 or backoff_base < 0 or (rate or 0) < 0 or timeout <= 0:
+            raise ValueError("http backend needs retries, rate and backoff_base >= 0, and timeout > 0")
         try:
             parts = urlsplit(url)
             parts.port  # raises on a port that is not a number in 0-65535
@@ -225,7 +227,6 @@ class HttpBackend(Backend):
         netloc = parts.netloc.rpartition("@")[2]
         query = parts.query and hashlib.sha256(parts.query.encode("utf-8", "surrogatepass")).hexdigest()[:12]
         self.backend_id = f"http:{urlunsplit((parts.scheme, netloc, parts.path, query, ''))}"
-        self.batch_size = batch_size
         self.retries = retries
         self.backoff_base = backoff_base
         self.timeout = timeout
@@ -234,16 +235,12 @@ class HttpBackend(Backend):
         self._bucket = TokenBucket(rate) if rate else None
 
     def translate(self, texts, source_lang, target_lang):
-        out = []
-        for i in range(0, len(texts), self.batch_size):
-            out += self._translate_chunk(texts[i:i + self.batch_size], source_lang, target_lang)
-        return out
-
-    def _translate_chunk(self, chunk, source_lang, target_lang):
+        if not texts:
+            return []
         headers = {}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"
-        payload = {"texts": list(chunk), "source": source_lang, "target": target_lang}
+        payload = {"texts": list(texts), "source": source_lang, "target": target_lang}
 
         # error texts name the endpoint by backend_id and a transport error
         # by its class: the URL and the exception text may hold credentials
@@ -273,7 +270,7 @@ class HttpBackend(Backend):
                 continue
             if resp.status_code != 200:
                 raise BackendUnavailable(f"HTTP {resp.status_code} from {self.backend_id}")
-            return self._parse_response(resp, len(chunk))
+            return self._parse_response(resp, len(texts))
         raise BackendUnavailable(
             f"giving up on {self.backend_id} after {self.retries + 1} attempts: {last_error}"
         )

@@ -170,7 +170,7 @@ def _checked(key: str, value, accepts):
     return value
 
 
-def _make_backend(spec: str, batch: int) -> backends.Backend:
+def _make_backend(spec: str) -> backends.Backend:
     kind, _, rest = spec.partition(":")
     if kind == "identity" and not rest:
         return backends.IdentityBackend()
@@ -190,7 +190,7 @@ def _make_backend(spec: str, batch: int) -> backends.Backend:
             raise ConfigError(f"scramble backend needs an integer seed, got {rest!r}")
     if kind in ("http", "https"):
         try:
-            return backends.HttpBackend(spec if rest.startswith("//") else rest, batch_size=batch)
+            return backends.HttpBackend(spec if rest.startswith("//") else rest)
         except ValueError as exc:  # not a full http(s)://host/path URL
             raise ConfigError(str(exc))
     raise ConfigError(f"unknown backend spec {spec!r}")
@@ -221,7 +221,7 @@ def cmd_translate(args) -> int:
                     conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
             splits[name] = split
 
-    backend = _make_backend(cfg["backend"], cfg["batch"])
+    backend = _make_backend(cfg["backend"])
     if isinstance(backend, backends.HttpBackend):  # named as in exclusions.jsonl: no userinfo or query
         cfg["backend"] = backend.backend_id
     # run-wide memo even without a cache file ("" in a config file means

@@ -182,13 +182,14 @@ def _finish(
     # An entity translated into placeholder syntax, alone or together with a
     # neighbouring template word, would reach the corpus as an entity token;
     # a placeholder fragment the source did not hold ("[*", "*0*") would
-    # reach it as an O token. Every fragment holds a star, and three
-    # substring tests cost far less than one fragment search.
+    # reach it as an O token. Fragments are compared as strings, not counted:
+    # "*0*]" in place of a source "[*" is one fragment each. Every fragment
+    # holds a star, and three substring tests cost far less than one search.
     text = " ".join(out.tokens)
     if ph.PLACEHOLDER_RE.search(text) or (
         ("*" in text or "＊" in text or "٭" in text)
-        and (leaked := len(ph.PLACEHOLDER_FRAGMENT_RE.findall(text)))
-        and leaked > len(ph.PLACEHOLDER_FRAGMENT_RE.findall(" ".join(sentence.tokens)))
+        and (leaked := Counter(ph.PLACEHOLDER_FRAGMENT_RE.findall(text)))
+        and leaked - Counter(ph.PLACEHOLDER_FRAGMENT_RE.findall(" ".join(sentence.tokens)))
     ):
         return ProjectionOutcome(origin, reason=REASON_PLACEHOLDER_LEAK, detail=template)
     return ProjectionOutcome(origin, sentence=out)
@@ -230,21 +231,22 @@ def project_split(
     and looked up in ``cache`` once each. ``cache`` must be opened for the
     scope ``(backend.backend_id, source_lang, target_lang)``; any other
     scope raises ValueError before any lookup or request. Only the misses
-    are sent to the backend, ``batch`` at a time, so a failed request
-    excludes only sentences that need one of its texts. ``parallelism``
-    caps the requests in flight: one worker sends each batch while it holds
-    one of ``parallelism`` slots. At 1 the worker runs on the calling
-    thread, which holds the one slot; above 1, on ``2 * parallelism``
-    threads, and a batch waiting out an ``HttpBackend`` retry backoff hands
-    its slot to another. Under the strict policy the first failed request
-    aborts the run and no batch sends after that. This is the only code
-    that reads or writes the cache and that counts into the report, on the
-    calling thread and in request order: a finished request is stored only
-    once every earlier one has returned. A slow or backing-off request does
-    not stop the other slots, so a crash loses every request that finished
-    after the oldest one not yet stored, for a rerun to send again. Output
-    order, output bytes and the cache file's bytes do not depend on
-    parallelism for a deterministic backend.
+    are sent, ``batch`` at a time: one batch is one ``backend.translate``
+    call, and for ``HttpBackend`` one request plus its retries, so a failed
+    request excludes only sentences that need one of its texts.
+    ``parallelism`` caps the requests in flight: one worker sends each
+    batch while it holds one of ``parallelism`` slots. At 1 the worker runs
+    on the calling thread, which holds the one slot; above 1, on
+    ``2 * parallelism`` threads, and a batch waiting out an ``HttpBackend``
+    retry backoff hands its slot to another. Under the strict policy the
+    first failed request aborts the run and no batch sends after that. This
+    is the only code that reads or writes the cache and that counts into
+    the report, on the calling thread and in request order: a finished
+    request is stored only once every earlier one has returned. A slow or
+    backing-off request does not stop the other slots, so a crash loses
+    every request that finished after the oldest one not yet stored, for a
+    rerun to send again. Output order, output bytes and the cache file's
+    bytes do not depend on parallelism for a deterministic backend.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")

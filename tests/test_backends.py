@@ -72,7 +72,7 @@ def test_dictionary_never_touches_placeholders():
 
 def test_dictionary_from_file(tmp_path):
     path = tmp_path / "map.tsv"
-    path.write_text("a\tA\nb\tB with spaces\n", encoding="utf-8")
+    path.write_text("a\tA\n\nb\tB with spaces\n\n", encoding="utf-8")
     backend = DictionaryBackend.from_file(str(path))
     assert backend.translate(["a b"], "en", "fa") == ["A B with spaces"]
 
@@ -642,12 +642,24 @@ def test_http_no_auth_header_without_key(stub_server, monkeypatch):
     assert stub.seen_auth == [None]
 
 
-def test_http_batches_by_size(stub_server):
+def test_a_project_split_batch_is_one_request_and_an_empty_call_sends_none(stub_server):
     stub = stub_server()
-    backend = http_backend(stub.url, batch_size=10)
-    texts = [f"t{i}" for i in range(25)]
-    assert backend.translate(texts, "en", "fa") == texts
-    assert stub.request_count == 3
+    # no rate limit, no retries and no backoff are all valid settings
+    backend = http_backend(stub.url, rate=0, retries=0, backoff_base=0)
+    assert backend.translate([], "en", "fa") == []
+    assert stub.request_count == 0
+    split = DatasetSplit("train", [sent([f"w{i}"], ["O"], origin=i) for i in range(40)])
+    out, _, report = project_split(split, backend, "en", "fa", batch=64)
+    assert len(out.sentences) == 40
+    assert report.counters.backend_calls == stub.request_count == 1
+
+
+@pytest.mark.parametrize("setting", [
+    {"retries": -1}, {"rate": -1}, {"backoff_base": -0.5}, {"timeout": 0}, {"timeout": -1},
+], ids=["retries", "rate", "backoff_base", "zero-timeout", "negative-timeout"])
+def test_http_backend_rejects_a_setting_out_of_range(setting):
+    with pytest.raises(ValueError, match="http backend needs retries, rate and backoff_base >= 0"):
+        HttpBackend("http://example.invalid/t", **setting)
 
 
 def test_http_retries_on_5xx(stub_server):
@@ -708,29 +720,6 @@ def test_http_protocol_error_on_wrong_cardinality():
     backend = HttpBackend("http://example.invalid/t", session=BadSession(), rate=None)
     with pytest.raises(BackendProtocol):
         backend.translate(["a", "b"], "en", "fa")
-
-
-def test_http_protocol_error_when_chunks_miscount_but_the_total_matches():
-    # two texts go out per request; answering 1 and then 3 translations adds
-    # up to the 4 texts, so translate_batch's count check alone would pair
-    # "b" with "c"'s translation
-    class ShiftingSession:
-        answers = [["A"], ["B", "C", "D"]]
-
-        def post(self, url, json=None, headers=None, timeout=None):
-            translations = self.answers.pop(0)
-
-            class R:
-                status_code = 200
-
-                def json(self):
-                    return {"translations": translations}
-
-            return R()
-
-    backend = HttpBackend("http://example.invalid/t", session=ShiftingSession(), batch_size=2, rate=None)
-    with pytest.raises(BackendProtocol, match="expected 2 string translations"):
-        translate_batch(TranslationRequest(("a", "b", "c", "d"), "en", "fa"), backend)
 
 
 @pytest.mark.parametrize("body", [{"result": ["a"]}, {"translations": "a"}, ["a"]],

@@ -115,7 +115,7 @@ def test_a_translation_with_no_utf8_form_excludes_its_sentences(fixture_paths, t
         def translate(self, texts, source_lang, target_lang):
             return [t + "\ud800" if t == "Berlin" else t for t in texts]
 
-    monkeypatch.setattr(cli, "_make_backend", lambda spec, batch: AnswersBerlinWithALoneSurrogate())
+    monkeypatch.setattr(cli, "_make_backend", lambda spec: AnswersBerlinWithALoneSurrogate())
     out = tmp_path / "out"
     assert cli.main(translate_args(fixture_paths, out, batch=1)) == 0
     # read() decodes strictly
@@ -171,7 +171,7 @@ def test_translate_strict_abort_on_dev_leaves_no_outputs(fixture_paths, tmp_path
             return list(texts)
 
     backend = FailsAfterFirstCall()
-    monkeypatch.setattr(cli, "_make_backend", lambda spec, batch: backend)
+    monkeypatch.setattr(cli, "_make_backend", lambda spec: backend)
     out = tmp_path / "out"
     # one request per split: train succeeds, dev aborts
     code = cli.main(translate_args(fixture_paths, out, batch=1000, **{"on-backend-error": "strict"}))

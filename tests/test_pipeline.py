@@ -229,6 +229,12 @@ def test_placeholder_fragments_the_source_holds_still_project():
     assert (outcome.sentence.tokens, outcome.sentence.tags) == (s.tokens, s.tags)
 
 
+def test_a_fragment_in_place_of_another_the_source_held_is_a_leak():
+    # one fragment each, so counting them would let "*0*]" through
+    outcome = project_sentence(sent(["[*"], ["O"]), MapTexts({"[*": "*0*]"}), "en", "fa")
+    assert (outcome.reason, outcome.detail) == (REASON_PLACEHOLDER_LEAK, "*0*]")
+
+
 @pytest.mark.parametrize("mapping", [
     {"John Smith": "-DOCSTART-"},
     {"[*0*] lives here": "[*0*] -DOCSTART- here"},
@@ -470,6 +476,23 @@ def test_split_strict_policy_aborts():
 def test_a_misspelled_error_policy_is_rejected_not_read_as_lenient(project):
     with pytest.raises(ValueError, match="strcit"):
         project("strcit")
+
+
+@pytest.mark.parametrize("setting", [{"parallelism": 0}, {"batch": 0}], ids=["parallelism", "batch"])
+def test_a_setting_below_one_is_rejected_before_any_lookup_or_request(tmp_path, setting):
+    path = tmp_path / "memory.jsonl"
+    backend = RejectsPoison()
+    scope = (backend.backend_id, "en", "fa")
+    with TranslationCache(str(path), scope) as cache:
+        cache.store("x", "ix")
+    before = path.read_bytes()
+    lookups = []
+    with TranslationCache(str(path), scope) as cache:
+        cache.lookup = lambda text: lookups.append(text)
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} must be >= 1"):
+            project_split(fixture_split(2), backend, "en", "fa", cache=cache, **setting)
+    assert lookups == [] and backend.calls == []
+    assert path.read_bytes() == before
 
 
 def test_split_lenient_policy_excludes_all_affected():

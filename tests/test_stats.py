@@ -35,6 +35,10 @@ def test_empty_split_has_absent_avg():
     assert s.avg_tokens is None
     assert s.avg_2dp is None
     assert s.avg_rounded is None
+    other = split_stats(split_of([3]))
+    assert delta_stats(s, other).avg_rounded is None
+    assert delta_stats(other, s).avg_rounded is None
+    assert delta_stats(s, s).avg_rounded is None
 
 
 def test_rounding_half_away_from_zero():
