@@ -22,11 +22,13 @@ import threading
 import time
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
 
-import requests
-
 from .placeholder import find_placeholders
+
+if TYPE_CHECKING:  # only HttpBackend imports requests, so no other run pays for it
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -231,12 +233,16 @@ class HttpBackend(Backend):
         self.backoff_base = backoff_base
         self.timeout = timeout
         self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        import requests
+
         self._session = session or requests.Session()
         self._bucket = TokenBucket(rate) if rate else None
 
     def translate(self, texts, source_lang, target_lang):
         if not texts:
             return []
+        import requests
+
         headers = {}
         if self._api_key:
             headers["Authorization"] = f"Bearer {self._api_key}"

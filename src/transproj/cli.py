@@ -240,31 +240,22 @@ def cmd_translate(args) -> int:
     try:
         # inside the try, so the cache is closed when --out cannot be made
         os.makedirs(out_dir, exist_ok=True)
-        for name, split in splits.items():
-            projected, outcomes, part = pipeline.project_split(
-                split,
+        # each parsed split is let go once it is projected, and each projected
+        # sentence once it is written
+        for name in list(splits):
+            outcomes = pipeline.stream_split(
+                splits.pop(name),
                 backend,
                 cfg["src"],
                 cfg["tgt"],
+                report,
                 parallelism=cfg["parallel"],
                 batch=cfg["batch"],
                 cache=cache,
                 on_error=cfg["on-backend-error"],
             )
-            report.merge(part)
-            for outcome in outcomes:
-                if not outcome.projected:
-                    exclusion_records.append(
-                        {
-                            "origin_index": outcome.origin_index,
-                            "split": name,
-                            "reason": outcome.reason,
-                            "detail": outcome.detail,
-                        }
-                    )
             staged.append(os.path.join(out_dir, f"{name}.conll"))
-            with open(staged[-1] + ".tmp", "w", encoding="utf-8") as fh:
-                fh.write(conll_io.serialize_conll(projected))
+            _write_split(staged[-1] + ".tmp", name, outcomes, exclusion_records)
         staged.append(os.path.join(out_dir, "exclusions.jsonl"))
         with open(staged[-1] + ".tmp", "w", encoding="utf-8") as fh:
             for record in exclusion_records:
@@ -282,6 +273,25 @@ def cmd_translate(args) -> int:
     if cfg["report"]:
         _write_json(cfg["report"], report.to_dict())
     return EXIT_OK
+
+
+def _write_split(path: str, name: str, outcomes, exclusion_records: list[dict]) -> None:
+    """Write each projected sentence to ``path`` as it comes, and keep only
+    a record of each exclusion. The last outcome goes with this frame, so
+    the next split starts holding none of this one."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for outcome in outcomes:
+            if outcome.projected:
+                fh.write(conll_io.serialize_sentence(outcome.sentence))
+            else:
+                exclusion_records.append(
+                    {
+                        "origin_index": outcome.origin_index,
+                        "split": name,
+                        "reason": outcome.reason,
+                        "detail": outcome.detail,
+                    }
+                )
 
 
 def _write_json(path: str, doc: dict) -> None:

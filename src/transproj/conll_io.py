@@ -186,16 +186,16 @@ def parse_conll_with_lines(
     return DatasetSplit(name, sentences, dropped_empty=dropped), line_map
 
 
+def serialize_sentence(sentence: TaggedSentence) -> str:
+    """One sentence as :func:`serialize_conll` writes it: ``token<SP>tag``
+    lines, then the blank line that ends it."""
+    return "".join(f"{tok} {tag.raw}\n" for tok, tag in zip(sentence.tokens, sentence.tags)) + "\n"
+
+
 def serialize_conll(split: DatasetSplit) -> str:
     """Write a split back out: ``token<SP>tag`` lines, one blank line between
     sentences, trailing newline. ``parse_conll(serialize_conll(s)) == s``."""
-    blocks = []
-    for sent in split.sentences:
-        lines = "".join(
-            f"{tok} {tag.raw}\n" for tok, tag in zip(sent.tokens, sent.tags)
-        )
-        blocks.append(lines + "\n")
-    return "".join(blocks)
+    return "".join(map(serialize_sentence, split.sentences))
 
 
 def validate_scheme(sentence: TaggedSentence) -> list[Violation]:

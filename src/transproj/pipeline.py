@@ -6,6 +6,12 @@ that the placeholder multiset survived, reinsert the translated entities
 (``unmask`` builds valid IOB2 tags itself), and check that no placeholder
 syntax reached the output. Any failing stage turns the sentence into an
 exclusion with a machine-readable reason instead of an error.
+
+``stream_split`` is the one projection loop. It masks a whole split and
+translates its unique texts before the first outcome, then finishes and
+yields one sentence at a time, so a caller that writes each projected
+sentence out holds only the split's masked texts and the translations.
+``project_split`` collects its outcomes into lists.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
 
@@ -224,29 +231,66 @@ def project_split(
     cache: TranslationCache | None = None,
     on_error: str = POLICY_LENIENT,
 ) -> tuple[DatasetSplit, list[ProjectionOutcome], RunReport]:
-    """Project a whole split.
+    """Project a whole split: the projected split, one outcome per source
+    sentence in source order, and the split's report.
 
-    Unique texts are collected across the split, so each is translated at
-    most once per split, or once per run when every split shares ``cache``,
-    and looked up in ``cache`` once each. ``cache`` must be opened for the
-    scope ``(backend.backend_id, source_lang, target_lang)``; any other
-    scope raises ValueError before any lookup or request. Only the misses
-    are sent, ``batch`` at a time: one batch is one ``backend.translate``
-    call, and for ``HttpBackend`` one request plus its retries, so a failed
-    request excludes only sentences that need one of its texts.
-    ``parallelism`` caps the requests in flight: one worker sends each
-    batch while it holds one of ``parallelism`` slots. At 1 the worker runs
-    on the calling thread, which holds the one slot; above 1, on
-    ``2 * parallelism`` threads, and a batch waiting out an ``HttpBackend``
-    retry backoff hands its slot to another. Under the strict policy the
-    first failed request aborts the run and no batch sends after that. This
-    is the only code that reads or writes the cache and that counts into
-    the report, on the calling thread and in request order: a finished
-    request is stored only once every earlier one has returned. A slow or
-    backing-off request does not stop the other slots, so a crash loses
-    every request that finished after the oldest one not yet stored, for a
-    rerun to send again. Output order, output bytes and the cache file's
-    bytes do not depend on parallelism for a deterministic backend.
+    This is :func:`stream_split` run to the end, so it holds every outcome
+    at once; the CLI streams instead. Unique texts are collected across the
+    split, so each is translated at most once per split, or once per run
+    when every split shares ``cache``, and looked up in ``cache`` once
+    each. ``cache`` must be opened for the scope ``(backend.backend_id,
+    source_lang, target_lang)``; any other scope raises ValueError before
+    any lookup or request. Only the misses are sent, ``batch`` at a time:
+    one batch is one ``backend.translate`` call, and for ``HttpBackend``
+    one request plus its retries, so a failed request excludes only
+    sentences that need one of its texts. ``parallelism`` caps the
+    requests in flight: one worker sends each batch while it holds one of
+    ``parallelism`` slots. At 1 the worker runs on the calling thread,
+    which holds the one slot; above 1, on ``2 * parallelism`` threads, and
+    a batch waiting out an ``HttpBackend`` retry backoff hands its slot to
+    another. Under the strict policy the first failed request aborts the
+    run and no batch sends after that. This is the only code that reads or
+    writes the cache and that counts into the report, on the calling
+    thread and in request order: a finished request is stored only once
+    every earlier one has returned. A slow or backing-off request does not
+    stop the other slots, so a crash loses every request that finished
+    after the oldest one not yet stored, for a rerun to send again. Output
+    order, output bytes and the cache file's bytes do not depend on
+    parallelism for a deterministic backend.
+    """
+    started = time.monotonic()
+    report = RunReport()
+    outcomes = list(stream_split(split, backend, source_lang, target_lang, report,
+                                 parallelism=parallelism, batch=batch, cache=cache, on_error=on_error))
+    report.duration_seconds = time.monotonic() - started
+    return DatasetSplit(split.name, [o.sentence for o in outcomes if o.projected]), outcomes, report
+
+
+def stream_split(
+    split: DatasetSplit,
+    backend: Backend,
+    source_lang: str,
+    target_lang: str,
+    report: RunReport,
+    *,
+    parallelism: int = 1,
+    batch: int = 32,
+    cache: TranslationCache | None = None,
+    on_error: str = POLICY_LENIENT,
+) -> Iterator[ProjectionOutcome]:
+    """Project a split and yield one outcome per source sentence, in source
+    order; the settings and guarantees are :func:`project_split`'s.
+
+    Nothing runs until the first outcome is asked for. Then every sentence
+    is masked, every unique text looked up, and every miss sent and stored
+    (a bad setting raises ValueError, and a strict abort raises AbortedRun,
+    before any outcome). Each outcome is finished only when it is asked
+    for, and a projected sentence is numbered by its place among the
+    projected ones, so a caller that writes each one out and lets it go
+    never holds the projected split. The tallies are added into
+    ``report``, which may be a whole run's: the cache hits and backend
+    counts before the first outcome, each exclusion's reason as it is
+    yielded, and the split's counts once the last has been yielded.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -257,7 +301,6 @@ def project_split(
     scope = (backend.backend_id, source_lang, target_lang)
     if cache is not None and cache.scope != scope:
         raise ValueError(f"cache scope {cache.scope!r} is not this run's {scope!r}")
-    started = time.monotonic()
 
     # a tuple of texts per sentence: lists held this long raised conll_dict peak RSS ~2.7%
     prepared: list[tuple[TaggedSentence, MaskedSentence | ProjectionOutcome, tuple[str, ...]]] = []
@@ -270,7 +313,6 @@ def project_split(
             unique.update(dict.fromkeys(texts))
         prepared.append((sentence, masked, texts))
 
-    report = RunReport()
     translations: dict[str, str] = {}
     misses: list[str] = []
     for text in unique:
@@ -279,7 +321,7 @@ def project_split(
             misses.append(text)
         else:
             translations[text] = cached
-    report.counters.cache_hits = len(translations)
+    report.counters.cache_hits += len(translations)
     batches = [misses[i:i + batch] for i in range(0, len(misses), batch)]
     failures: dict[str, str] = {}
     slots = threading.BoundedSemaphore(parallelism)
@@ -318,8 +360,7 @@ def project_split(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    outcomes: list[ProjectionOutcome] = []
-    projected: list[TaggedSentence] = []
+    projected = 0
     for sentence, masked, texts in prepared:
         failed = next((t for t in texts if t in failures), None)
         if isinstance(masked, ProjectionOutcome):
@@ -328,18 +369,16 @@ def project_split(
             outcome = ProjectionOutcome(sentence.origin_index, reason=REASON_BACKEND_FAILURE,
                                         detail=failures[failed])
         else:
-            outcome = _finish(sentence, masked, [translations[t] for t in texts], len(projected))
-        outcomes.append(outcome)
+            outcome = _finish(sentence, masked, [translations[t] for t in texts], projected)
         if outcome.projected:
-            projected.append(outcome.sentence)
-    out_split = DatasetSplit(split.name, projected)
+            projected += 1
+        else:
+            report.reasons[outcome.reason] += 1
+        yield outcome
 
     report.splits[split.name] = SplitCounts(
         total=len(split.sentences),
-        projected=len(projected),
-        excluded=len(outcomes) - len(projected),
+        projected=projected,
+        excluded=len(prepared) - projected,
         dropped_empty=split.dropped_empty,
     )
-    report.reasons.update(o.reason for o in outcomes if o.reason)
-    report.duration_seconds = time.monotonic() - started
-    return out_split, outcomes, report

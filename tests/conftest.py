@@ -4,6 +4,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
+
+# pytest --hypothesis-profile=thorough runs each property on many more
+# examples than the default profile; a property with its own max_examples
+# takes whichever is larger
+settings.register_profile("thorough", max_examples=1000, deadline=None)
 
 DATA_DIR = Path(__file__).parent / "data"
 

@@ -5,13 +5,14 @@ import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from transproj import backends, cli, conll_io, placeholder
+from transproj import backends, cli, conll_io, pipeline, placeholder
 from transproj.conll_io import parse_conll
 from transproj.pipeline import project_sentence
 
@@ -512,6 +513,66 @@ def test_cache_file_does_not_depend_on_parallel(fixture_paths, data_dir, tmp_pat
     assert memories[3].read_bytes() == memories[1].read_bytes()
 
 
+class FailsBerlin(backends.IdentityBackend):
+    """Identity, except that every request holding "Berlin" fails whole."""
+
+    def translate(self, texts, source_lang, target_lang):
+        if "Berlin" in texts:
+            raise backends.BackendUnavailable("Berlin refused")
+        return list(texts)
+
+
+@pytest.mark.parametrize("parallel", [1, 3])
+@pytest.mark.parametrize("spec, failing", [("scramble:0", None), ("identity", FailsBerlin)])
+def test_streamed_outputs_equal_the_library_projection(fixture_paths, tmp_path, monkeypatch, capsys,
+                                                       spec, failing, parallel):
+    if failing:
+        monkeypatch.setattr(cli, "_make_backend", lambda _: failing())
+    out = tmp_path / "out"
+    assert cli.main(translate_args(fixture_paths, out, spec, batch=4, parallel=parallel,
+                                   report=tmp_path / "report.json")) == 0
+
+    # the same splits through project_split, sharing one run memo as the CLI does
+    backend = cli._make_backend(spec)
+    cache = backends.TranslationCache(None, (backend.backend_id, "en", "fa"))
+    expected, records = pipeline.RunReport(), []
+    for name, path in fixture_paths.items():
+        projected, outcomes, part = pipeline.project_split(parse_conll(read(path), name), backend, "en", "fa",
+                                                           batch=4, parallelism=parallel, cache=cache)
+        expected.merge(part)
+        records += [{"origin_index": o.origin_index, "split": name, "reason": o.reason, "detail": o.detail}
+                    for o in outcomes if not o.projected]
+        assert read(out / f"{name}.conll") == conll_io.serialize_conll(projected)
+    assert read(out / "exclusions.jsonl") == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
+    assert (spec == "identity") == bool(records)
+
+    report = json.loads(read(tmp_path / "report.json"))
+    assert report.pop("config")["backend"] == spec
+    report.pop("duration_seconds")
+    assert report == {k: v for k, v in expected.to_dict().items() if k not in ("config", "duration_seconds")}
+    without_duration = [line for line in expected.render().splitlines() if not line.startswith("duration:")]
+    assert capsys.readouterr().out.splitlines()[:-1] == without_duration
+
+
+def test_a_projected_sentence_is_let_go_once_its_split_is_written(fixture_paths, tmp_path, monkeypatch):
+    finish = pipeline._finish
+    train: list[weakref.ref] = []
+    alive_at_dev = []
+
+    def watched(sentence, masked, translated, index):
+        outcome = finish(sentence, masked, translated, index)
+        if index == 0 and train:  # the identity backend projects every sentence
+            alive_at_dev.append([ref() for ref in train if ref() is not None])
+        elif not alive_at_dev:
+            train.append(weakref.ref(outcome.sentence))
+        return outcome
+
+    monkeypatch.setattr(pipeline, "_finish", watched)
+    assert cli.main(translate_args(fixture_paths, tmp_path / "out")) == 0
+    assert len(train) == len(parse_conll(read(fixture_paths["train"]), "train"))
+    assert alive_at_dev and alive_at_dev[0] == []
+
+
 def test_normalize_profile_conll2003(tmp_path):
     # IOB1 input: sentence-initial I- tags start entities
     source = tmp_path / "iob1.conll"
@@ -645,6 +706,16 @@ def test_python_m_transproj_runs_the_cli():
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_importing_the_cli_does_not_import_requests():
+    # only an HTTP backend needs requests; every other run skips its import cost
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, transproj.cli; print('requests' in sys.modules)"],
+        cwd=Path(__file__).resolve().parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 def test_validate_clean_corpus(fixture_paths):

@@ -233,7 +233,7 @@ def sentences(draw, origin):
     return sent(tokens, tags, origin)
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(st.data())
 def test_every_sentence_is_excluded_with_a_reason_or_projected_as_intended(data):
     split = DatasetSplit("train", [data.draw(sentences(i)) for i in range(data.draw(st.integers(1, 4)))])
