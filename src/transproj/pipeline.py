@@ -3,9 +3,10 @@
 Per sentence: validate the tag scheme while extracting spans, mask them
 with indexed placeholders, translate template and entity surfaces, check
 that the placeholder multiset survived, reinsert the translated entities
-(``unmask`` builds valid IOB2 tags itself), and check that no placeholder
-syntax reached the output. Any failing stage turns the sentence into an
-exclusion with a machine-readable reason instead of an error.
+(``unmask`` builds valid IOB2 tags itself), and check that the output
+holds no placeholder fragment: placeholder syntax is reserved, so a source
+holding one is a pattern collision. Any failing stage turns the sentence
+into an exclusion with a machine-readable reason instead of an error.
 
 ``stream_split`` is the one projection loop. It masks a whole split and
 translates its unique texts before the first outcome, then finishes and
@@ -88,7 +89,7 @@ class SplitCounts:
 
 @dataclass
 class BackendCounters:
-    """Tallies for the run report, kept by ``project_split`` on its calling thread."""
+    """Tallies for the run report, counted by ``stream_split`` on its calling thread."""
 
     backend_calls: int = 0
     texts_translated: int = 0
@@ -105,8 +106,8 @@ def _add_counts(mine, theirs) -> None:
 class RunReport:
     splits: dict[str, SplitCounts] = field(default_factory=dict)
     reasons: Counter = field(default_factory=Counter)
-    # the run's one tally of backend calls, texts translated and cache hits:
-    # project_split counts into it, and merge adds into it
+    # the run's one tally of backend calls, texts translated and cache hits,
+    # which stream_split counts into
     counters: BackendCounters = field(default_factory=BackendCounters)
     # what opening the translation memory found: entries indexed for the
     # run's scope, and the skipped lines of every scope
@@ -186,18 +187,10 @@ def _finish(
         return ProjectionOutcome(origin, reason=REASON_EMPTY_ENTITY, detail=str(exc))
     except InvalidSentence as exc:
         return ProjectionOutcome(origin, reason=REASON_TOKEN_TAG_MISMATCH, detail=str(exc))
-    # An entity translated into placeholder syntax, alone or together with a
-    # neighbouring template word, would reach the corpus as an entity token;
-    # a placeholder fragment the source did not hold ("[*", "*0*") would
-    # reach it as an O token. Fragments are compared as strings, not counted:
-    # "*0*]" in place of a source "[*" is one fragment each. Every fragment
-    # holds a star, and three substring tests cost far less than one search.
-    text = " ".join(out.tokens)
-    if ph.PLACEHOLDER_RE.search(text) or (
-        ("*" in text or "＊" in text or "٭" in text)
-        and (leaked := Counter(ph.PLACEHOLDER_FRAGMENT_RE.findall(text)))
-        and leaked - Counter(ph.PLACEHOLDER_FRAGMENT_RE.findall(" ".join(sentence.tokens)))
-    ):
+    # any fragment leaked from the translation: an entity translated into
+    # placeholder syntax, alone or with a neighbouring template word, or
+    # what an engine left of a placeholder it mangled
+    if ph.find_fragment(" ".join(out.tokens)) is not None:
         return ProjectionOutcome(origin, reason=REASON_PLACEHOLDER_LEAK, detail=template)
     return ProjectionOutcome(origin, sentence=out)
 

@@ -30,7 +30,9 @@ PLACEHOLDER_RE = re.compile(rf"\[\s*\*\s*([{_DIGITS}]+)\s*\*\s*\]")
 # star, a star then "]" or "］", or digits between two stars, where a star is
 # "*", "＊" or "٭", and whitespace or invisible format characters (soft
 # hyphen, bidi marks and embeddings, zero-width characters, BOM) may stand
-# between the parts. Every fragment holds a star.
+# between the parts. Every fragment holds a star. Placeholder syntax is
+# reserved: a source whose joined tokens hold a fragment collides, and a
+# fragment in a projected sentence leaked from the translation.
 _STARS = "*＊٭"
 _GAP = r"[\s\u00ad\u061c\u200b-\u200f\u202a-\u202e\u2060-\u2064\ufeff]*"
 PLACEHOLDER_FRAGMENT_RE = re.compile(
@@ -80,25 +82,43 @@ def placeholder(index: int) -> str:
     return f"[*{index}*]"
 
 
-def find_placeholders(text: str) -> list[PlaceholderHit]:
-    """Scan left to right for tolerant placeholder matches.
+def find_fragment(text: str) -> re.Match | None:
+    """The first placeholder fragment in ``text``, or None."""
+    # every fragment holds a star, and three substring tests cost far less than one search
+    return PLACEHOLDER_FRAGMENT_RE.search(text) if "*" in text or "＊" in text or "٭" in text else None
 
-    Indices are read as decimal numbers (``int`` reads every digit script
-    the grammar admits); regions that do not parse are simply not hits.
-    """
-    return [PlaceholderHit(int(m.group(1)), m.start(), m.end(), m.group(0))
+
+def _index(digits: str) -> int:
+    """Digits as a decimal number; past 18 digits, which fit no entity and
+    may be more than ``int`` reads, in base 16: one value per number, above
+    every shorter one's."""
+    digits = digits.lstrip("0٠۰")
+    return int(digits or "0") if len(digits) <= 18 else int(digits, 16)
+
+
+def find_placeholders(text: str) -> list[PlaceholderHit]:
+    """Scan left to right for tolerant placeholder matches (``int`` reads
+    every digit script the grammar admits); the rest are not hits."""
+    return [PlaceholderHit(_index(m.group(1)), m.start(), m.end(), m.group(0))
             for m in PLACEHOLDER_RE.finditer(text)]
 
 
 def mask(sentence: TaggedSentence) -> MaskedSentence:
     """Replace each entity span with its indexed placeholder.
 
-    Raises PatternCollision when the source text itself contains anything
-    the tolerant grammar would read as a placeholder — such a sentence
-    cannot be realigned reliably and must be excluded.
+    Raises PatternCollision when the source's space-joined tokens hold any
+    placeholder fragment, within one token or across several ("[" then
+    "*"): placeholder syntax is reserved, so such a sentence is excluded.
+    Without one, the template's placeholders are exactly its own, in order.
     """
     spans = extract_spans(sentence)
     tokens = sentence.tokens
+    text = " ".join(tokens)
+    if (hit := find_fragment(text)) is not None:
+        pos = text.count(" ", 0, hit.start())  # tokens hold no whitespace
+        raise PatternCollision(
+            f"token {tokens[pos]!r} at position {pos} starts placeholder syntax {hit.group()!r}"
+        )
     parts: list[str] = []
     last = 0
     for index, span in enumerate(spans):
@@ -106,22 +126,7 @@ def mask(sentence: TaggedSentence) -> MaskedSentence:
         parts.append(placeholder(index))
         last = span.end
     parts += tokens[last:]
-    template = " ".join(parts)
-
-    # Every placeholder match starts with a literal "[", so only a source
-    # token holding one can collide, alone or joined with its neighbours
-    # ("[*" + "0*]"); without one the template's hits are exactly its own
-    # placeholders, in order.
-    if any("[" in token for token in tokens):
-        for pos, token in enumerate(tokens):
-            if PLACEHOLDER_RE.search(token):
-                raise PatternCollision(
-                    f"token {token!r} at position {pos} matches the placeholder pattern"
-                )
-        if [h.index for h in find_placeholders(template)] != list(range(len(spans))):
-            raise PatternCollision("source tokens combine into a placeholder-like pattern")
-
-    return MaskedSentence(template, tuple(spans))
+    return MaskedSentence(" ".join(parts), tuple(spans))
 
 
 def count_check(masked: MaskedSentence, translated_template: str,

@@ -10,7 +10,6 @@ or ``transproj.pipeline``, so a fault there cannot hide in both.
 
 import re
 import unicodedata
-from collections import Counter
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,9 +20,10 @@ from transproj.pipeline import ALL_REASONS, project_split
 
 from test_conll_io import sent
 
-# Source tokens: plain words, placeholder fragments that a source may hold,
-# and a placeholder, which a source may not ("[", "*7*" and "]" in a row
-# read as one too).
+# Source tokens: plain words and pieces of placeholder syntax. A lone "["
+# or "]" is no placeholder fragment; "[*", "*]", "*7*" and a placeholder
+# are, and so is "[" followed by "*7*", so a source holding one is never
+# projected.
 WORDS = ["John", "Berlin", "lives", "in", "7", "a.b", "[*", "*]", "*7*", "[", "]", "[*3*]"]
 LABELS = ["PER", "LOC"]
 # what the dictionary edit translates; other words pass through
@@ -71,13 +71,10 @@ FRAGMENT = re.compile(r"\[\s*\*|\*\s*\]|\*\s*[0-9]+\s*\*")
 
 
 def fragments(tokens):
-    """Placeholder fragments token by token: "[*", "*]" or a number between
-    stars, in canonical form."""
-    found = Counter()
-    for token in tokens:
-        canonical = "".join(c for c in token.translate(CANONICAL) if unicodedata.category(c) != "Cf")
-        found.update(FRAGMENT.findall(canonical))
-    return found
+    """Placeholder fragments in the space-joined tokens: "[*", "*]" or a
+    number between stars, in canonical form."""
+    text = " ".join(tokens).translate(CANONICAL)
+    return FRAGMENT.findall("".join(c for c in text if unicodedata.category(c) != "Cf"))
 
 
 def answer(pieces):
@@ -119,8 +116,9 @@ def check_projected(source, out, translation):
         assert at >= 0, (outside, template)
         at += len(token)
 
-    # no token holds a placeholder fragment the source did not hold
-    assert not fragments(out.tokens) - fragments(source.tokens), (out.tokens, source.tokens)
+    # placeholder syntax is reserved: the source holds no fragment, and the output none at all
+    assert not fragments(source.tokens), source.tokens
+    assert not fragments(out.tokens), out.tokens
 
 
 # --- adversarial backend -------------------------------------------------------------

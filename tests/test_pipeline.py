@@ -35,7 +35,6 @@ from transproj.pipeline import (
 )
 from transproj.placeholder import (
     PLACEHOLDER_FRAGMENT_RE,
-    PLACEHOLDER_RE,
     EmptyEntityTranslation,
     PatternCollision,
     count_check,
@@ -154,11 +153,26 @@ def test_blank_entity_translation_is_empty_entity():
     assert outcome.reason == REASON_EMPTY_ENTITY
 
 
-def test_placeholder_token_in_source_is_pattern_collision():
-    outcome = project_sentence(
-        sent(["bad", "[*0*]", "token"], ["O", "O", "O"]), IdentityBackend(), "en", "fa"
-    )
-    assert outcome.reason == REASON_PATTERN_COLLISION
+# A source holding placeholder syntax is excluded before any request. Each
+# mapping is an answer that a source fragment would otherwise let through
+# wrongly, or have excluded as a leak although nothing leaked.
+@pytest.mark.parametrize("tokens, tags, mapping, detail", [
+    (["bad", "[*0*]", "token"], ["O", "O", "O"], {}, "token '[*0*]' at position 1 starts placeholder syntax '[*'"),
+    (["[*", "John", "*]"], ["O", "B-PER", "O"], {}, "token '[*' at position 0 starts placeholder syntax '[*'"),
+    # the source's "[*" would be swallowed into placeholder 0
+    (["John", "John", "John", "[*", "Mary"], ["O", "O", "O", "O", "B-PER"],
+     {"John John John [* [*0*]": "John John John[* 0*]"},
+     "token '[*' at position 3 starts placeholder syntax '[*'"),
+    # neither token holds a fragment, so a check token by token would let two O tokens vanish
+    (["[", "*", "Mary"], ["O", "O", "B-PER"], {"[ * [*0*]": "[ * 0*]"},
+     "token '[' at position 0 starts placeholder syntax '[ *'"),
+    # nothing leaks, but the answer's fragments are the source's own
+    (["[", "John", "*7*"], ["O", "B-PER", "O"], {"[ [*0*] *7*": "[ *7* [*0*]"},
+     "token '*7*' at position 2 starts placeholder syntax '*7*'"),
+], ids=["placeholder", "fragments", "swallowed", "across-tokens", "no-leak"])
+def test_placeholder_token_in_source_is_pattern_collision(tokens, tags, mapping, detail):
+    outcome = project_sentence(sent(tokens, tags), MapTexts(mapping), "en", "fa")
+    assert (outcome.reason, outcome.detail) == (REASON_PATTERN_COLLISION, detail)
 
 
 def test_invalid_scheme_is_excluded_not_raised():
@@ -222,17 +236,24 @@ def test_placeholder_residue_in_translation_is_excluded(extra, reason):
     assert (outcome.reason, outcome.detail) == (reason, f"[*0*] lives here {extra}")
 
 
-def test_placeholder_fragments_the_source_holds_still_project():
-    s = sent(["[*", "John", "*]"], ["O", "B-PER", "O"])
-    outcome = project_sentence(s, IdentityBackend(), "en", "fa")
-    assert outcome.projected
-    assert (outcome.sentence.tokens, outcome.sentence.tags) == (s.tokens, s.tags)
-
-
 def test_a_fragment_in_place_of_another_the_source_held_is_a_leak():
-    # one fragment each, so counting them would let "*0*]" through
-    outcome = project_sentence(sent(["[*"], ["O"]), MapTexts({"[*": "*0*]"}), "en", "fa")
+    # a lone "[" is no fragment, so the source is clean and any fragment in the output leaked
+    outcome = project_sentence(sent(["["], ["O"]), MapTexts({"[": "*0*]"}), "en", "fa")
     assert (outcome.reason, outcome.detail) == (REASON_PLACEHOLDER_LEAK, "*0*]")
+
+
+def test_a_placeholder_index_too_long_for_int_is_a_count_mismatch_on_every_run(tmp_path):
+    # int() refuses more than 4,300 digits; the rerun reads the answer from the memory alone
+    path = str(tmp_path / "tm.jsonl")
+    answer = f"[*0*] lives [*{'7' * 5000}*]"
+    split = DatasetSplit("train", [sent(["John", "lives"], ["B-PER", "O"]), john(1)])
+    for backend_calls in (1, 0):
+        with TranslationCache(path, ("map", "en", "fa")) as cache:
+            out, outcomes, report = project_split(split, MapTexts({"[*0*] lives": answer}), "en", "fa",
+                                                  cache=cache)
+        assert (outcomes[0].reason, outcomes[0].detail) == (REASON_COUNT_MISMATCH, answer)
+        assert [s.tokens for s in out.sentences] == [JOHN[0]]
+        assert report.counters.backend_calls == backend_calls
 
 
 @pytest.mark.parametrize("mapping", [
@@ -600,8 +621,8 @@ def test_each_sentence_is_validated_once(monkeypatch):
 
 
 def test_each_translated_template_is_scanned_once_and_a_source_only_with_a_bracket(monkeypatch):
-    # every placeholder match starts with "[", so the masked source template
-    # is scanned for collisions only when a source token holds one
+    # mask looks for placeholder fragments, not placeholders, so no source is
+    # scanned for placeholders, not even one holding a bracket
     calls = count_calls(monkeypatch, "find_placeholders")
     out, _, _ = project_split(mixed_split(), IdentityBackend(), "en", "fa")
     assert len(out) == 3
@@ -609,7 +630,7 @@ def test_each_translated_template_is_scanned_once_and_a_source_only_with_a_brack
     bracket = DatasetSplit("train", [sent(["John", "x[1]"], ["B-PER", "O"], 0)])
     out, _, _ = project_split(bracket, IdentityBackend(), "en", "fa")
     assert out.sentences[0].tokens == ["John", "x[1]"]
-    assert calls["find_placeholders"] == 5
+    assert calls["find_placeholders"] == 4
 
 
 # --- properties --------------------------------------------------------------
@@ -673,10 +694,8 @@ def reference_finish(s, masked, translated):
         return REASON_EMPTY_ENTITY, str(exc), None
     except InvalidSentence as exc:
         return REASON_TOKEN_TAG_MISMATCH, str(exc), None
-    text = " ".join(out.tokens)
-    fragments = PLACEHOLDER_FRAGMENT_RE.findall
-    # a fragment the source did not hold leaks, whatever the fragment counts
-    if PLACEHOLDER_RE.search(text) or Counter(fragments(text)) - Counter(fragments(" ".join(s.tokens))):
+    # the source holds no fragment, or mask would have raised, so any fragment leaked
+    if PLACEHOLDER_FRAGMENT_RE.search(" ".join(out.tokens)):
         return REASON_PLACEHOLDER_LEAK, template, None
     return None, None, out
 

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from transproj.conll_io import validate_scheme
 from transproj.placeholder import (
-    PLACEHOLDER_RE,
+    PLACEHOLDER_FRAGMENT_RE,
     REASON_COUNT_MISMATCH,
     REASON_DUPLICATE,
     DuplicateIndex,
@@ -87,6 +87,17 @@ def test_find_mixed_digits():
 
 def test_find_reports_duplicates_in_order():
     assert [h.index for h in find_placeholders("[*1*] a [*0*] b [*1*]")] == [1, 0, 1]
+
+
+def test_find_reads_an_index_too_long_for_int_as_one_no_entity_has():
+    # int() refuses more than 4,300 digits, leading zeros included
+    sevens, eights = "7" * 5000, "8" * 5000
+    hits = find_placeholders(f"[*{sevens}*] [*{'0' * 5000}7*] [*{'۰' * 30}۷*] [*{'9' * 18}*] [*1{'0' * 18}*]")
+    assert [h.index for h in hits[1:4]] == [7, 7, 10 ** 18 - 1]
+    assert hits[0].index > hits[4].index > hits[3].index
+    assert count_check(masked(1), f"[*0*] [*{sevens}*]") == REASON_COUNT_MISMATCH
+    assert count_check(masked(1), f"[*0*] [*{sevens}*] [*{eights}*]") == REASON_COUNT_MISMATCH
+    assert count_check(masked(1), f"[*0*] [*{sevens}*] [*{sevens}*]") == REASON_DUPLICATE
 
 
 # --- unmask ----------------------------------------------------------------
@@ -270,24 +281,28 @@ def reference_template(s, spans):
 
 
 def reference_collision(s):
-    """The collision message of a per-token search, then a scan of the
-    assembled template; None when the sentence masks cleanly."""
+    """The collision message of one fragment search over the space-joined
+    tokens, naming the token the match starts in; None when the sentence
+    masks cleanly."""
+    match = PLACEHOLDER_FRAGMENT_RE.search(" ".join(s.tokens))
+    if match is None:
+        return None
+    end = 0
     for pos, token in enumerate(s.tokens):
-        if PLACEHOLDER_RE.search(token):
-            return f"token {token!r} at position {pos} matches the placeholder pattern"
-    spans = extract_spans(s)
-    if [h.index for h in find_placeholders(reference_template(s, spans))] != list(range(len(spans))):
-        return "source tokens combine into a placeholder-like pattern"
-    return None
+        end += len(token) + 1
+        if match.start() < end:
+            return f"token {token!r} at position {pos} starts placeholder syntax {match.group()!r}"
 
 
 @given(adversarial_sentences())
-def test_mask_collision_matches_per_token_then_template_reference(s):
+def test_mask_collision_matches_joined_text_reference(s):
     expected = reference_collision(s)
     if expected is None:
         masked = mask(s)
         assert masked.entities == tuple(extract_spans(s))
         assert masked.template == reference_template(s, masked.entities)
+        # without a source fragment the template's placeholders are its own, in order
+        assert [h.index for h in find_placeholders(masked.template)] == list(range(len(masked.entities)))
     else:
         with pytest.raises(PatternCollision) as exc:
             mask(s)
