@@ -4,6 +4,7 @@ from .backends import (
     Backend,
     BackendError,
     BackendProtocol,
+    BackendTransient,
     BackendUnavailable,
     DictionaryBackend,
     HttpBackend,
@@ -50,6 +51,7 @@ __all__ = [
     "BackendCounters",
     "BackendError",
     "BackendProtocol",
+    "BackendTransient",
     "BackendUnavailable",
     "DatasetSplit",
     "DeltaStats",

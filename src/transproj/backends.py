@@ -1,13 +1,16 @@
 """Translation backends behind one batch contract, plus the file cache.
 
 Every backend maps an ordered list of texts to an equally long list of
-translations; one ``project_split`` batch is one ``translate`` call. The
+translations; one ``project_split`` batch is one ``translate`` call per
+attempt. A backend raises ``BackendTransient`` for a failure worth
+another attempt and names how many attempts and what backoff it wants in
+``retries`` and ``backoff_base``; ``project_split`` makes them. The
 identity, dictionary, and scrambler backends are deterministic stand-ins
 that make the pipeline testable offline; the HTTP backend talks to any
 JSON service implementing the plain ``{"texts": [...], "source": ...,
 "target": ...}`` → ``{"translations": [...]}`` protocol, one request per
-call plus its retries, with a token-bucket rate limit. Each
-``backend_id`` names the backend's configuration.
+call, with a token-bucket rate limit. Each ``backend_id`` names the
+backend's configuration.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ import hashlib
 import json
 import logging
 import os
-import random
 import re
 import threading
 import time
-from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
@@ -36,16 +37,19 @@ API_KEY_ENV = "TRANSPROJ_API_KEY"
 
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
-# the request slot that translate_batch's caller holds, if any
-_held_slot: ContextVar[threading.Semaphore | None] = ContextVar("_held_slot", default=None)
-
 
 class BackendError(Exception):
     pass
 
 
 class BackendUnavailable(BackendError):
-    """Transport failure or HTTP error status after retries."""
+    """Transport failure or HTTP error status."""
+
+
+class BackendTransient(BackendUnavailable):
+    """A failure that another attempt may get past: a transport error or a
+    5xx answer. Its text is the cause alone, such as ``HTTP 503`` or the
+    transport exception's class name."""
 
 
 class BackendProtocol(BackendError):
@@ -78,9 +82,16 @@ class TranslationRequest:
 
 
 class Backend:
-    """Batch translation contract: len(out) == len(texts), order preserved."""
+    """Batch translation contract: len(out) == len(texts), order preserved.
+
+    ``project_split`` makes up to ``retries + 1`` attempts at a batch whose
+    call raises ``BackendTransient``, waiting ``backoff_base * 2**(n - 1)``
+    seconds plus up to 25 % jitter before attempt n + 1.
+    """
 
     backend_id = "abstract"
+    retries = 0
+    backoff_base = 0.0
 
     def translate(self, texts: list[str], source_lang: str, target_lang: str) -> list[str]:
         raise NotImplementedError
@@ -192,10 +203,10 @@ class HttpBackend(Backend):
     """Generic JSON translation service adapter.
 
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
-    [...]}`` in input order. One ``translate`` call is one request plus
-    its retries, so batch through ``project_split(batch=...)``. Transport
-    errors and 5xx answers are retried with exponential backoff (doubling
-    from ``backoff_base``) and jitter.
+    [...]}`` in input order. One ``translate`` call is one request, so
+    batch through ``project_split(batch=...)``, which also makes the
+    ``retries``: a transport error or a 5xx answer raises
+    ``BackendTransient``, any other status but 200 ``BackendUnavailable``.
     ``backend_id`` is the URL without userinfo, query or fragment, followed
     by ``?`` and 12 hex digits of the SHA-256 of the query when there is
     one: two URLs share cache entries only when they differ in nothing but
@@ -248,38 +259,19 @@ class HttpBackend(Backend):
             headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {"texts": list(texts), "source": source_lang, "target": target_lang}
 
+        if self._bucket is not None:
+            self._bucket.acquire()
         # error texts name the endpoint by backend_id and a transport error
         # by its class: the URL and the exception text may hold credentials
-        last_error = ""
-        for attempt in range(self.retries + 1):
-            if attempt:
-                delay = self.backoff_base * 2 ** (attempt - 1)
-                slot = _held_slot.get()
-                if slot is not None:
-                    slot.release()  # another batch may send while this one waits
-                try:
-                    time.sleep(delay * (1.0 + 0.25 * random.random()))
-                finally:
-                    if slot is not None:
-                        slot.acquire()
-            if self._bucket is not None:
-                self._bucket.acquire()
-            try:
-                resp = self._session.post(
-                    self.url, json=payload, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
-                last_error = type(exc).__name__
-                continue
-            if resp.status_code >= 500:
-                last_error = f"HTTP {resp.status_code}"
-                continue
-            if resp.status_code != 200:
-                raise BackendUnavailable(f"HTTP {resp.status_code} from {self.backend_id}")
-            return self._parse_response(resp, len(texts))
-        raise BackendUnavailable(
-            f"giving up on {self.backend_id} after {self.retries + 1} attempts: {last_error}"
-        )
+        try:
+            resp = self._session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
+        except requests.RequestException as exc:
+            raise BackendTransient(type(exc).__name__) from None
+        if resp.status_code >= 500:
+            raise BackendTransient(f"HTTP {resp.status_code}")
+        if resp.status_code != 200:
+            raise BackendUnavailable(f"HTTP {resp.status_code} from {self.backend_id}")
+        return self._parse_response(resp, len(texts))
 
     def _parse_response(self, resp, expected: int):
         try:
@@ -435,17 +427,10 @@ class TranslationCache:
         self.close()
 
 
-def translate_batch(request: TranslationRequest, backend: Backend,
-                    slot: threading.Semaphore | None = None) -> list[str]:
+def translate_batch(request: TranslationRequest, backend: Backend) -> list[str]:
     """One ``backend.translate`` call for request.texts, checked to return
-    a list or tuple of one string translation per text. ``HttpBackend``
-    releases ``slot``, a request slot the caller holds, while it waits out
-    a retry backoff."""
-    token = _held_slot.set(slot)
-    try:
-        translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
-    finally:
-        _held_slot.reset(token)
+    a list or tuple of one string translation per text."""
+    translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
     # a str or dict has a length too, but zipping one with the texts would
     # pair each text with a character or a key
     if not isinstance(translated, (list, tuple)):

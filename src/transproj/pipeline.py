@@ -17,17 +17,19 @@ sentence out holds only the split's masked texts and the translations.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 from . import placeholder as ph
 from .backends import (
     Backend,
     BackendError,
+    BackendTransient,
     TranslationCache,
     TranslationRequest,
     translate_batch,
@@ -96,12 +98,6 @@ class BackendCounters:
     cache_hits: int = 0
 
 
-def _add_counts(mine, theirs) -> None:
-    """Add each count field of the dataclass ``theirs`` into ``mine``."""
-    for f in fields(theirs):
-        setattr(mine, f.name, getattr(mine, f.name) + getattr(theirs, f.name))
-
-
 @dataclass
 class RunReport:
     splits: dict[str, SplitCounts] = field(default_factory=dict)
@@ -115,12 +111,6 @@ class RunReport:
     cache_corrupt_lines: list[int] = field(default_factory=list)
     duration_seconds: float = 0.0
     config: dict | None = None
-
-    def merge(self, other: "RunReport") -> None:
-        for name, counts in other.splits.items():
-            _add_counts(self.splits.setdefault(name, SplitCounts()), counts)
-        self.reasons.update(other.reasons)
-        _add_counts(self.counters, other.counters)
 
     def to_dict(self) -> dict:
         return {
@@ -234,15 +224,18 @@ def project_split(
     each. ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
     any lookup or request. Only the misses are sent, ``batch`` at a time:
-    one batch is one ``backend.translate`` call, and for ``HttpBackend``
-    one request plus its retries, so a failed request excludes only
-    sentences that need one of its texts. ``parallelism`` caps the
-    requests in flight: one worker sends each batch while it holds one of
-    ``parallelism`` slots. At 1 the worker runs on the calling thread,
-    which holds the one slot; above 1, on ``2 * parallelism`` threads, and
-    a batch waiting out an ``HttpBackend`` retry backoff hands its slot to
-    another. Under the strict policy the first failed request aborts the
-    run and no batch sends after that. This is the only code that reads or
+    one batch is one request plus its retries, each attempt one
+    ``backend.translate`` call, so a failed request excludes only
+    sentences that need one of its texts. A batch whose call raises
+    ``BackendTransient`` is sent again up to ``backend.retries`` times,
+    after a backoff that doubles from ``backend.backoff_base`` seconds,
+    with up to 25 % jitter. ``parallelism`` caps the requests in flight:
+    one worker makes each attempt while it holds one of ``parallelism``
+    slots, and waits out a backoff without one, so another batch sends
+    meanwhile. At 1 the worker runs on the calling thread; above 1, on
+    ``2 * parallelism`` threads. Under the strict policy the first failed
+    request aborts the run and no attempt is made after that, not even
+    by a batch waiting out a backoff. This is the only code that reads or
     writes the cache and that counts into the report, on the calling
     thread and in request order: a finished request is stored only once
     every earlier one has returned. A slow or backing-off request does not
@@ -321,17 +314,28 @@ def stream_split(
     stop = threading.Event()
 
     def send(texts: list[str]):
-        """Send one batch while holding a slot, unless the run has stopped:
-        (translations, None), or (None, error) when the backend fails, so
-        one failed batch does not raise inside the pool."""
-        with slots:
-            if stop.is_set():
-                return None, "not sent: the run stopped"
-            request = TranslationRequest(tuple(texts), source_lang, target_lang)
-            try:
-                return translate_batch(request, backend, slots), None
-            except BackendError as exc:
-                return None, str(exc)
+        """Send one batch: up to ``backend.retries + 1`` attempts while the
+        backend fails transiently, each holding a slot and made only if the
+        run has not stopped. The backoff between attempts holds no slot, so
+        another batch sends meanwhile. (translations, None), or (None,
+        error) when the backend fails, so one failed batch does not raise
+        inside the pool."""
+        request = TranslationRequest(tuple(texts), source_lang, target_lang)
+        attempts = backend.retries + 1
+        for attempt in range(attempts):
+            if attempt:
+                delay = backend.backoff_base * 2 ** (attempt - 1)
+                time.sleep(delay * (1.0 + 0.25 * random.random()))
+            with slots:
+                if stop.is_set():
+                    return None, "not sent: the run stopped"
+                try:
+                    return translate_batch(request, backend), None
+                except BackendTransient as exc:
+                    error = str(exc)
+                except BackendError as exc:
+                    return None, str(exc)
+        return None, f"giving up on {backend.backend_id} after {attempts} attempts: {error}"
 
     # with one slot there is nothing to overlap, so requests run on this thread
     pool = ThreadPoolExecutor(max_workers=2 * parallelism) if parallelism > 1 else None

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from transproj import backends
 from transproj.backends import (
     BackendProtocol,
+    BackendTransient,
     BackendUnavailable,
     CacheCorrupt,
     CacheLocked,
@@ -662,19 +663,40 @@ def test_http_backend_rejects_a_setting_out_of_range(setting):
         HttpBackend("http://example.invalid/t", **setting)
 
 
+def test_one_http_translate_call_is_one_post_and_a_5xx_raises_transient(stub_server):
+    stub = stub_server(fail_first=1)
+    backend = http_backend(stub.url, retries=3)
+    with pytest.raises(BackendTransient, match="^HTTP 503$"):
+        backend.translate(["x"], "en", "fa")
+    assert stub.request_count == 1
+
+
 def test_http_retries_on_5xx(stub_server):
     stub = stub_server(fail_first=2)
     backend = http_backend(stub.url, retries=3)
-    assert backend.translate(["x"], "en", "fa") == ["x"]
+    out, outcomes, report = project_split(split_of("x"), backend, "en", "fa")
+    assert outcomes[0].projected and out.sentences[0].tokens == ["x"]
     assert stub.request_count == 3
+    assert report.counters.backend_calls == 1
 
 
 def test_http_gives_up_after_retries(stub_server):
     stub = stub_server(fail_first=99)
     backend = http_backend(stub.url, retries=2)
-    with pytest.raises(BackendUnavailable):
-        backend.translate(["x"], "en", "fa")
+    _, outcomes, _ = project_split(split_of("x"), backend, "en", "fa")
+    assert outcomes[0].reason == REASON_BACKEND_FAILURE
+    assert outcomes[0].detail == f"giving up on {backend.backend_id} after 3 attempts: HTTP 503"
     assert stub.request_count == 3
+
+
+def test_http_gives_up_after_retries_on_a_transport_error():
+    backend = http_backend("http://127.0.0.1:1/translate", retries=1, timeout=0.5)
+    post = backend._session.post
+    attempts = []
+    backend._session.post = lambda *args, **kw: attempts.append(1) or post(*args, **kw)
+    _, outcomes, _ = project_split(split_of("x"), backend, "en", "fa")
+    assert len(attempts) == 2
+    assert outcomes[0].detail == f"giving up on {backend.backend_id} after 2 attempts: ConnectionError"
 
 
 @pytest.mark.parametrize("status", [429, 400])

@@ -532,16 +532,16 @@ def test_streamed_outputs_equal_the_library_projection(fixture_paths, tmp_path, 
     assert cli.main(translate_args(fixture_paths, out, spec, batch=4, parallel=parallel,
                                    report=tmp_path / "report.json")) == 0
 
-    # the same splits through project_split, sharing one run memo as the CLI does
+    # the same splits through stream_split, sharing one run memo and one report as the CLI does
     backend = cli._make_backend(spec)
     cache = backends.TranslationCache(None, (backend.backend_id, "en", "fa"))
     expected, records = pipeline.RunReport(), []
     for name, path in fixture_paths.items():
-        projected, outcomes, part = pipeline.project_split(parse_conll(read(path), name), backend, "en", "fa",
-                                                           batch=4, parallelism=parallel, cache=cache)
-        expected.merge(part)
+        outcomes = list(pipeline.stream_split(parse_conll(read(path), name), backend, "en", "fa", expected,
+                                              batch=4, parallelism=parallel, cache=cache))
         records += [{"origin_index": o.origin_index, "split": name, "reason": o.reason, "detail": o.detail}
                     for o in outcomes if not o.projected]
+        projected = conll_io.DatasetSplit(name, [o.sentence for o in outcomes if o.projected])
         assert read(out / f"{name}.conll") == conll_io.serialize_conll(projected)
     assert read(out / "exclusions.jsonl") == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records)
     assert (spec == "identity") == bool(records)

@@ -23,8 +23,11 @@ from test_conll_io import sent
 # Source tokens: plain words and pieces of placeholder syntax. A lone "["
 # or "]" is no placeholder fragment; "[*", "*]", "*7*" and a placeholder
 # are, and so is "[" followed by "*7*", so a source holding one is never
-# projected.
-WORDS = ["John", "Berlin", "lives", "in", "7", "a.b", "[*", "*]", "*7*", "[", "]", "[*3*]"]
+# projected. Each plain word is drawn WEIGHT times as often as each
+# fragment word, so that most sources reach the checks of a projected one.
+WORDS = ["John", "Berlin", "lives", "in", "7", "a.b", "[", "]"]
+FRAGMENT_WORDS = ["[*", "*]", "*7*", "[*3*]"]
+WEIGHT = 6
 LABELS = ["PER", "LOC"]
 # what the dictionary edit translates; other words pass through
 DICTIONARY = {"John": "جان", "Berlin": "برلین", "lives": "زندگی", "in": "در"}
@@ -217,7 +220,7 @@ def template_answer(draw, items):
 @st.composite
 def sentences(draw, origin):
     n = draw(st.integers(1, 5))
-    tokens = draw(st.lists(st.sampled_from(WORDS), min_size=n, max_size=n))
+    tokens = draw(st.lists(st.sampled_from(WORDS * WEIGHT + FRAGMENT_WORDS), min_size=n, max_size=n))
     tags, prev = [], None
     for _ in range(n):
         label = draw(st.sampled_from([None, *LABELS]))

@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +13,7 @@ from transproj import backends, conll_io, pipeline, placeholder, spans
 from transproj.backends import (
     BackendUnavailable,
     DictionaryBackend,
+    HttpBackend,
     IdentityBackend,
     ScramblerBackend,
     TranslationCache,
@@ -27,9 +29,6 @@ from transproj.pipeline import (
     REASON_PLACEHOLDER_LEAK,
     REASON_TOKEN_TAG_MISMATCH,
     AbortedRun,
-    BackendCounters,
-    RunReport,
-    SplitCounts,
     project_sentence,
     project_split,
 )
@@ -360,36 +359,6 @@ def test_an_answer_that_is_not_a_list_fails_only_its_batch(tmp_path, answer):
 # --- run report -----------------------------------------------------------------
 
 
-_counts = st.integers(min_value=0, max_value=10**6)
-_split_counts = st.builds(SplitCounts, _counts, _counts, _counts, _counts)
-_report = st.builds(
-    lambda splits, calls, texts, hits: RunReport(
-        splits=splits, counters=BackendCounters(backend_calls=calls, texts_translated=texts, cache_hits=hits)),
-    st.dictionaries(st.sampled_from(["train", "dev", "test"]), _split_counts),
-    _counts, _counts, _counts,
-)
-
-
-def _split_tuple(c):
-    return (c.total, c.projected, c.excluded, c.dropped_empty)
-
-
-def _counter_tuple(c):
-    return (c.backend_calls, c.texts_translated, c.cache_hits)
-
-
-@settings(max_examples=max(100, settings.default.max_examples), deadline=None)
-@given(mine=_report, theirs=_report)
-def test_run_report_merge_adds_every_count(mine, theirs):
-    expected = {name: _split_tuple(c) for name, c in mine.splits.items()}
-    for name, c in theirs.splits.items():
-        expected[name] = tuple(map(sum, zip(expected.get(name, (0, 0, 0, 0)), _split_tuple(c))))
-    expected_counters = tuple(map(sum, zip(_counter_tuple(mine.counters), _counter_tuple(theirs.counters))))
-    mine.merge(theirs)
-    assert {name: _split_tuple(c) for name, c in mine.splits.items()} == expected
-    assert _counter_tuple(mine.counters) == expected_counters
-
-
 def test_run_report_dict_keys_keep_their_order():
     _, _, report = project_split(fixture_split(2), IdentityBackend(), "en", "fa")
     as_dict = report.to_dict()
@@ -581,16 +550,6 @@ def test_shared_memo_dedups_across_splits():
     project_split(dev, backend, "en", "fa", cache=memo)
     sent_texts = [t for call in backend.calls for t in call]
     assert sent_texts.count("Shared") == 1
-
-
-def test_report_merge_accumulates():
-    split_a = fixture_split(3)
-    _, _, a = project_split(split_a, IdentityBackend(), "en", "fa")
-    split_b = DatasetSplit("dev", [john(0)])
-    _, _, b = project_split(split_b, IdentityBackend(), "en", "fa")
-    a.merge(b)
-    assert a.splits["train"].total == 3
-    assert a.splits["dev"].total == 1
 
 
 # --- one pass per stage ------------------------------------------------------
@@ -874,3 +833,43 @@ def test_a_batch_in_retry_backoff_hands_its_slot_to_another(stub_server, monkeyp
     assert full_while_backing_off == [True]
     assert stub.max_in_flight <= parallelism
     assert all(o.projected for o in outcomes)
+
+
+def test_a_strict_abort_stops_a_batch_in_retry_backoff(monkeypatch):
+    """w0's batch is rejected for good once w1's has had a 503, and w1's
+    backoff lasts until the abort shuts the pool down."""
+    had_503, aborted = threading.Event(), threading.Event()
+    posts = []  # (texts, whether the run had aborted) per POST
+
+    class Answer:
+        def __init__(self, status, texts):
+            self.status_code, self._texts = status, texts
+
+        def json(self):
+            return {"translations": self._texts}
+
+    class Session:
+        def post(self, url, json=None, headers=None, timeout=None):
+            texts = json["texts"]
+            posts.append((texts, aborted.is_set()))
+            if texts == ["w1"]:
+                status = 200 if had_503.is_set() else 503
+                had_503.set()
+                return Answer(status, texts)
+            had_503.wait(5)
+            return Answer(400, texts)
+
+    class ShutdownMarksAbort(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            aborted.set()
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", ShutdownMarksAbort)
+    backoffs = []
+    monkeypatch.setattr(time, "sleep", lambda seconds: backoffs.append(aborted.wait(5)))
+    backend = HttpBackend("http://example.invalid/t", session=Session(), rate=None, retries=3)
+    with pytest.raises(AbortedRun, match="HTTP 400"):
+        project_split(word_split(2), backend, "en", "fa", batch=1, parallelism=2, on_error="strict")
+    assert backoffs == [True]
+    assert [texts for texts, after_abort in posts if after_abort] == []
+    assert sorted(texts for texts, _ in posts) == [["w0"], ["w1"]]
