@@ -36,6 +36,7 @@ log = logging.getLogger(__name__)
 API_KEY_ENV = "TRANSPROJ_API_KEY"
 
 _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+_WHITESPACE_RUN = re.compile(r"(\s+)")
 
 
 class BackendError(Exception):
@@ -137,6 +138,8 @@ class DictionaryBackend(Backend):
         return [self._translate_text(t) for t in texts]
 
     def _translate_text(self, text: str) -> str:
+        if "[" not in text:  # every placeholder starts with a literal "["
+            return self._translate_segment(text)
         out = []
         last = 0
         for hit in find_placeholders(text):
@@ -147,10 +150,11 @@ class DictionaryBackend(Backend):
         return "".join(out)
 
     def _translate_segment(self, segment: str) -> str:
-        parts = re.split(r"(\s+)", segment)
-        return "".join(
-            p if (not p or p.isspace()) else self._map.get(p, p) for p in parts
-        )
+        # the even parts hold no whitespace, the odd ones are whitespace runs
+        parts = _WHITESPACE_RUN.split(segment)
+        lookup = self._map.get
+        parts[::2] = [lookup(p, p) if p else p for p in parts[::2]]
+        return "".join(parts)
 
 
 class ScramblerBackend(Backend):

@@ -144,33 +144,50 @@ def parse_conll(text: str, name: str = "other") -> DatasetSplit:
 
     Blank lines delimit sentences, ``-DOCSTART-`` lines are skipped, and
     sentence groups that end up empty are dropped (counted in
-    ``DatasetSplit.dropped_empty``).
+    ``DatasetSplit.dropped_empty``). A token string that recurs in the
+    document is one shared ``str``.
     """
-    split, _ = parse_conll_with_lines(text, name)
-    return split
+    return _read(text, name, None)
 
 
 def parse_conll_with_lines(
     text: str, name: str = "other"
 ) -> tuple[DatasetSplit, list[list[int]]]:
     """Like :func:`parse_conll` but also returns per-token line numbers."""
-    sentences: list[TaggedSentence] = []
     line_map: list[list[int]] = []
+    return _read(text, name, line_map), line_map
+
+
+def _read(text: str, name: str, line_map: list[list[int]] | None) -> DatasetSplit:
+    """The one reader loop, a line at a time with no list of lines. Lines
+    end at ``"\\n"`` only: the other characters ``str.splitlines`` breaks
+    on are field separators to ``str.split``. Each token's line number is
+    recorded in ``line_map`` only when one is given."""
+    sentences: list[TaggedSentence] = []
     dropped = 0
     tokens: list[str] = []
     tags: list[Tag] = []
     lines: list[int] = []
     saw_docstart = False  # the current group had a -DOCSTART- line
+    shared: dict[str, str] = {}  # one str per distinct token
 
-    all_lines = text.split("\n")
-    all_lines.append("")  # a blank sentinel ends the last group
-    for line_no, line in enumerate(all_lines, start=1):
+    end = len(text)
+    pos = 0
+    # one more line than the document has: a blank sentinel ends the last group
+    for line_no in range(1, text.count("\n") + 3):
+        nl = text.find("\n", pos)
+        if nl < 0:
+            nl = end
+        line = text[pos:nl]
+        pos = nl + 1
         fields = line.split()
         if not fields:
             if tokens:
                 sentences.append(TaggedSentence(tokens, tags, origin_index=len(sentences)))
-                line_map.append(lines)
-                tokens, tags, lines = [], [], []
+                tokens, tags = [], []
+                if line_map is not None:
+                    line_map.append(lines)
+                    lines = []
             elif saw_docstart:
                 dropped += 1
             saw_docstart = False
@@ -179,11 +196,13 @@ def parse_conll_with_lines(
         elif len(fields) < 2:
             raise MalformedLine(line_no, line)
         else:
-            tokens.append(fields[0])
+            token = fields[0]
+            tokens.append(shared.setdefault(token, token))
             tags.append(Tag.parse(fields[-1], line_no))
-            lines.append(line_no)
+            if line_map is not None:
+                lines.append(line_no)
 
-    return DatasetSplit(name, sentences, dropped_empty=dropped), line_map
+    return DatasetSplit(name, sentences, dropped_empty=dropped)
 
 
 def serialize_sentence(sentence: TaggedSentence) -> str:

@@ -359,7 +359,7 @@ def stream_split(
 
     projected = 0
     for sentence, masked, texts in prepared:
-        failed = next((t for t in texts if t in failures), None)
+        failed = next((t for t in texts if t in failures), None) if failures else None
         if isinstance(masked, ProjectionOutcome):
             outcome = masked
         elif failed is not None:

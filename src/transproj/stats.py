@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .conll_io import DatasetSplit
 
@@ -26,6 +25,9 @@ class SplitStats:
     def avg_tokens(self) -> Fraction | None:
         if self.n_sentences == 0:
             return None
+        # imported here: no run of the CLI reads this, so none loads fractions
+        from fractions import Fraction
+
         return Fraction(self.total_tokens, self.n_sentences)
 
     @property

@@ -9,7 +9,7 @@ import types
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from transproj import backends
@@ -30,6 +30,7 @@ from transproj.backends import (
 )
 from transproj.conll_io import DatasetSplit
 from transproj.pipeline import REASON_BACKEND_FAILURE, AbortedRun, project_split
+from transproj.placeholder import PLACEHOLDER_RE
 
 from test_conll_io import sent
 
@@ -69,6 +70,34 @@ def test_dictionary_never_touches_placeholders():
     backend = DictionaryBackend({"0": "X", "[*0*]": "Y", "[*": "Z"})
     assert backend.translate(["[*0*] stays"], "en", "fa") == ["[*0*] stays"]
     assert backend.translate(["[* 0 *] stays"], "en", "fa") == ["[* 0 *] stays"]
+
+
+def word_by_word(mapping, segment):
+    return "".join(p if not p or p.isspace() else mapping.get(p, p) for p in re.split(r"(\s+)", segment))
+
+
+def reference_dictionary(mapping, text):
+    """DictionaryBackend's rule with no shortcut: every text is scanned for
+    placeholders, and each stretch between them is looked up word by word."""
+    out, last = [], 0
+    for m in PLACEHOLDER_RE.finditer(text):
+        out += [word_by_word(mapping, text[last:m.start()]), m.group()]
+        last = m.end()
+    return "".join([*out, word_by_word(mapping, text[last:])])
+
+
+DICT_WORDS = ["a", "b", "0", "1", "[", "*", "]", "[*", "*]", "[*0*]", "[ *1* ]", "[ * 1 * ]", "x[*2*]y", "٣"]
+
+
+@given(
+    st.lists(st.tuples(st.sampled_from(DICT_WORDS),
+                       st.sampled_from(["", " ", "\t", "  ", "\u3000", "\u2028", "\x1c"]))),
+    st.dictionaries(st.sampled_from(["", *DICT_WORDS]), st.sampled_from(["", "A", "B C", "[*9*]"])),
+)
+@example([("[ * 1 * ]", " "), ("a", "")], {"[": "A", "1": "B", "": "C"})
+def test_dictionary_matches_word_by_word_reference(parts, mapping):
+    text = "".join(word + space for word, space in parts)
+    assert DictionaryBackend(mapping).translate([text], "en", "fa") == [reference_dictionary(mapping, text)]
 
 
 def test_dictionary_from_file(tmp_path):

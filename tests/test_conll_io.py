@@ -286,7 +286,10 @@ def reference_read(text):
     return sentences, line_map, dropped
 
 
-BLANK_LINES = ["", " ", "\t", "  \t ", "\r", "\u3000"]
+# Characters str.splitlines ends a line at but str.split reads as whitespace
+# between fields: a reader must end lines at "\n" only.
+SPLITLINES_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+BLANK_LINES = ["", " ", "\t", "  \t ", "\r", "\u3000", *SPLITLINES_BREAKS, "\x0c\u2028"]
 DOCSTART_LINES = ["-DOCSTART-", "-DOCSTART- O", "-DOCSTART- -X- -X- O"]
 BAD_LINES = ["ragged", "word B-", "word I-", "word X-PER", "word b-PER", "word BPER", "word NNP o"]
 
@@ -300,8 +303,9 @@ def conll_lines(draw):
         return draw(st.sampled_from(DOCSTART_LINES))
     middle = draw(st.lists(st.sampled_from(["NNP", "-X-", "I-NP", "O"]), max_size=2))
     tag = draw(st.sampled_from(["O", "B-PER", "I-PER", "B-LOC", "I-LOC", "B-creative-work"]))
-    sep = draw(st.sampled_from([" ", "\t", "  ", " \t"]))
-    lead, trail = draw(st.sampled_from(["", " ", "\t"])), draw(st.sampled_from(["", " ", "\r"]))
+    sep = draw(st.sampled_from([" ", "\t", "  ", " \t", *SPLITLINES_BREAKS]))
+    lead = draw(st.sampled_from(["", " ", "\t", "\x85"]))
+    trail = draw(st.sampled_from(["", " ", "\r", "\u2029"]))
     return lead + sep.join([draw(tokens_st), *middle, tag]) + trail
 
 
@@ -310,23 +314,44 @@ def conll_documents(draw):
     lines = draw(st.lists(conll_lines(), max_size=30))
     if draw(st.booleans()):
         lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(BAD_LINES)))
-    return "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    # each line ends in "\n" or "\r\n", the last one also in nothing or a blank line
+    ends = [draw(st.sampled_from(["\n", "\r\n"])) for _ in lines[1:]]
+    last = draw(st.sampled_from(["", "\n", "\r\n", "\n\n", "\r\n\r\n"]))
+    return "".join(line + end for line, end in zip(lines, [*ends, last]))
+
+
+def read_or_error(parse, text):
+    try:
+        return parse(text, "train")
+    except (MalformedLine, MalformedTag) as exc:
+        return ("error", type(exc).__name__, exc.line_no)
 
 
 @given(conll_documents())
 @example("-DOCSTART- -X- O\n\na O\n-DOCSTART-\nb B-PER\n\n \n\t\n-DOCSTART-")
 @example("a O\n\n-DOCSTART-\n\t\n-DOCSTART- O\n\nb O\nragged")
+@example("a\x0bO\r\n\x0c\r\nb\u2028B-PER\x85\r\n")
 def test_reader_matches_line_by_line_reference(text):
     expected = reference_read(text)
-    try:
-        split, line_map = parse_conll_with_lines(text, "train")
-    except (MalformedLine, MalformedTag) as exc:
-        assert expected == ("error", type(exc).__name__, exc.line_no)
+    got = read_or_error(parse_conll_with_lines, text)
+    # parse_conll is the same reader without the line numbers
+    without_lines = read_or_error(parse_conll, text)
+    if "error" in (expected[0], got[0]):
+        assert got == without_lines == expected
         return
-    sentences, lines, dropped = expected
+    (split, line_map), (sentences, lines, dropped) = got, expected
+    assert without_lines == split
+    assert without_lines.dropped_empty == split.dropped_empty
     assert [(s.tokens, [t.raw for t in s.tags], s.origin_index) for s in split.sentences] == sentences
     assert line_map == lines
     assert split.dropped_empty == dropped
+
+
+def test_a_token_repeated_across_sentences_is_one_str():
+    text = "Berlin B-LOC\nsaid O\n\nin O\nBerlin B-LOC\n\nsaid O\n"
+    for split in (parse_conll(text), parse_conll_with_lines(text)[0]):
+        (berlin, said), (_, berlin_again), (said_again,) = (s.tokens for s in split.sentences)
+        assert berlin_again is berlin and said_again is said
 
 
 # --- validate_scheme -----------------------------------------------------
