@@ -285,11 +285,7 @@ class HttpBackend(Backend):
         translations = body.get("translations") if isinstance(body, dict) else None
         if not isinstance(translations, list):
             raise BackendProtocol('response lacks a "translations" list')
-        if len(translations) != expected or not all(isinstance(t, str) for t in translations):
-            raise BackendProtocol(
-                f"expected {expected} string translations, got {translations!r:.120}"
-            )
-        return translations
+        return _checked_answer(translations, expected)
 
 
 class TranslationCache:
@@ -431,18 +427,15 @@ class TranslationCache:
         self.close()
 
 
-def translate_batch(request: TranslationRequest, backend: Backend) -> list[str]:
-    """One ``backend.translate`` call for request.texts, checked to return
-    a list or tuple of one string translation per text."""
-    translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
+def _checked_answer(translated, expected: int):
+    """``translated`` if it is a list or tuple of ``expected`` translations,
+    each a string with a UTF-8 form; BackendProtocol otherwise."""
     # a str or dict has a length too, but zipping one with the texts would
     # pair each text with a character or a key
     if not isinstance(translated, (list, tuple)):
         raise BackendProtocol(f"backend returned a {type(translated).__name__}, not a list of translations")
-    if len(translated) != len(request.texts):
-        raise BackendProtocol(
-            f"backend returned {len(translated)} translations for {len(request.texts)} texts"
-        )
+    if len(translated) != expected:
+        raise BackendProtocol(f"backend returned {len(translated)} translations for {expected} texts")
     if not all(isinstance(t, str) for t in translated):
         raise BackendProtocol(f"backend returned a translation that is not a string: {translated!r:.120}")
     # a lone surrogate (JSON can carry "\ud800") has no UTF-8 form; repr escapes it
@@ -450,3 +443,10 @@ def translate_batch(request: TranslationRequest, backend: Backend) -> list[str]:
     if unencodable is not None:
         raise BackendProtocol(f"backend returned a translation that is not valid UTF-8: {unencodable!r:.120}")
     return translated
+
+
+def translate_batch(request: TranslationRequest, backend: Backend) -> list[str]:
+    """One ``backend.translate`` call for request.texts, checked to return
+    a list or tuple of one string translation per text."""
+    translated = backend.translate(list(request.texts), request.source_lang, request.target_lang)
+    return _checked_answer(translated, len(request.texts))

@@ -166,13 +166,12 @@ def _finish(
     origin = sentence.origin_index
     template = translated[0]
     entities = translated[1:]
-    hits = ph.find_placeholders(template)
-    reason = ph.count_check(masked, template, hits)
-    if reason is not None:
-        return ProjectionOutcome(origin, reason=reason, detail=template)
-    # count_check passed, so unmask cannot raise DuplicateIndex, UnknownIndex or MissingIndex
     try:
-        out = ph.unmask(template, entities, [e.label for e in masked.entities], index, hits)
+        out = ph.unmask(template, entities, [e.label for e in masked.entities], index)
+    except ph.DuplicateIndex:
+        return ProjectionOutcome(origin, reason=REASON_DUPLICATE, detail=template)
+    except (ph.UnknownIndex, ph.MissingIndex):
+        return ProjectionOutcome(origin, reason=REASON_COUNT_MISMATCH, detail=template)
     except ph.EmptyEntityTranslation as exc:
         return ProjectionOutcome(origin, reason=REASON_EMPTY_ENTITY, detail=str(exc))
     except InvalidSentence as exc:

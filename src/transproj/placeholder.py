@@ -129,21 +129,34 @@ def mask(sentence: TaggedSentence) -> MaskedSentence:
     return MaskedSentence(" ".join(parts), tuple(spans))
 
 
-def count_check(masked: MaskedSentence, translated_template: str,
-                hits: list[PlaceholderHit] | None = None) -> str | None:
+def _check_indices(hits: list[PlaceholderHit], n: int) -> None:
+    """For ``n`` entities, the first repeated index raises DuplicateIndex,
+    else the first index of n or more UnknownIndex, else the lowest absent
+    one MissingIndex. Errors quote a placeholder's text, cut short."""
+    seen = set()
+    for hit in hits:
+        if hit.index in seen:
+            raise DuplicateIndex(f"placeholder {hit.text!r:.60} repeats an earlier index")
+        seen.add(hit.index)
+    for hit in hits:
+        if hit.index >= n:
+            raise UnknownIndex(f"placeholder {hit.text!r:.60} is out of range for {n} entities")
+    if len(seen) < n:
+        raise MissingIndex(f"placeholder index {min(set(range(n)) - seen)} is missing")
+
+
+def count_check(masked: MaskedSentence, translated_template: str) -> str | None:
     """Check that translation preserved the placeholder multiset.
 
     Returns None on pass, otherwise the failure reason: a repeated index is
     ``duplicate-placeholder``, any other deviation from the exact index set
-    {0..n-1} is ``placeholder-count-mismatch``. ``hits`` are the template's
-    placeholders when the caller has already scanned it.
+    {0..n-1} is ``placeholder-count-mismatch``.
     """
-    if hits is None:
-        hits = find_placeholders(translated_template)
-    indices = [h.index for h in hits]
-    if len(indices) != len(set(indices)):
+    try:
+        _check_indices(find_placeholders(translated_template), len(masked.entities))
+    except DuplicateIndex:
         return REASON_DUPLICATE
-    if set(indices) != set(range(len(masked.entities))):
+    except (UnknownIndex, MissingIndex):
         return REASON_COUNT_MISMATCH
     return None
 
@@ -153,7 +166,6 @@ def unmask(
     translated_entities: list[str],
     labels: list[str],
     origin_index: int = 0,
-    hits: list[PlaceholderHit] | None = None,
 ) -> TaggedSentence:
     """Insert translated entities back into a translated template.
 
@@ -161,41 +173,29 @@ def unmask(
     whitespace-split tokens of ``translated_entities[i]``, tagged
     B-labels[i] then I-labels[i]. The template text between placeholders is
     split on whitespace and tagged O, so a placeholder glued to punctuation
-    still splits off. ``hits`` are the template's placeholders, in order,
-    when the caller has already scanned it; an index out of range raises
-    UnknownIndex, a repeated one DuplicateIndex, and an entity with no
-    placeholder MissingIndex.
+    still splits off. The indices must be 0..n-1 once each, for n entities,
+    or DuplicateIndex, UnknownIndex or MissingIndex is raised, in that
+    order; only then does a blank entity raise EmptyEntityTranslation.
     """
     if len(translated_entities) != len(labels):
-        raise ValueError(
-            f"{len(translated_entities)} entity translations vs {len(labels)} labels"
-        )
+        raise ValueError(f"{len(translated_entities)} entity translations vs {len(labels)} labels")
+    hits = find_placeholders(translated_template)
+    _check_indices(hits, len(translated_entities))
     for idx, entity in enumerate(translated_entities):
         if not entity.strip():
             raise EmptyEntityTranslation(f"entity {idx} translated to whitespace")
 
-    if hits is None:
-        hits = find_placeholders(translated_template)
     outside = Tag.outside()
     tokens: list[str] = []
     tags: list[Tag] = []
-    seen = set()
     last = 0
     for hit in hits:
-        if hit.index >= len(translated_entities):
-            raise UnknownIndex(f"placeholder index {hit.index} but only {len(translated_entities)} entities")
-        if hit.index in seen:
-            raise DuplicateIndex(f"placeholder index {hit.index} occurs more than once")
-        seen.add(hit.index)
         words = translated_template[last:hit.start].split()
         ent_words = translated_entities[hit.index].split()
         label = labels[hit.index]
         tokens += words + ent_words
         tags += [outside] * len(words) + [Tag.begin(label)] + [Tag.inside(label)] * (len(ent_words) - 1)
         last = hit.end
-    if len(seen) < len(translated_entities):
-        missing = min(set(range(len(translated_entities))) - seen)
-        raise MissingIndex(f"placeholder index {missing} is missing")
     words = translated_template[last:].split()
     tokens += words
     tags += [outside] * len(words)

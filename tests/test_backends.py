@@ -773,6 +773,31 @@ def test_http_protocol_error_on_wrong_cardinality():
         backend.translate(["a", "b"], "en", "fa")
 
 
+@pytest.mark.parametrize("answer", [["only one"], ["a", None], ["a", "a\ud800"]],
+                         ids=["wrong-count", "not-a-string", "lone-surrogate"])
+def test_http_answer_check_is_translate_batchs(answer):
+    class FixedSession:
+        def post(self, url, json=None, headers=None, timeout=None):
+            class R:
+                status_code = 200
+
+                def json(self):
+                    return {"translations": list(answer)}
+
+            return R()
+
+    class Answers(IdentityBackend):
+        def translate(self, texts, source_lang, target_lang):
+            return list(answer)
+
+    with pytest.raises(BackendProtocol) as batch:
+        translate_batch(TranslationRequest(("a", "b"), "en", "fa"), Answers())
+    backend = HttpBackend("http://example.invalid/t", session=FixedSession(), rate=None)
+    with pytest.raises(BackendProtocol) as http:
+        backend.translate(["a", "b"], "en", "fa")
+    assert str(http.value) == str(batch.value)
+
+
 @pytest.mark.parametrize("body", [{"result": ["a"]}, {"translations": "a"}, ["a"]],
                          ids=["no-key", "not-a-list", "not-an-object"])
 def test_http_protocol_error_without_translations_list(body):

@@ -1,8 +1,8 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
-from transproj.conll_io import validate_scheme
+from transproj.conll_io import InvalidSentence, validate_scheme
 from transproj.placeholder import (
     PLACEHOLDER_FRAGMENT_RE,
     REASON_COUNT_MISMATCH,
@@ -98,6 +98,16 @@ def test_find_reads_an_index_too_long_for_int_as_one_no_entity_has():
     assert count_check(masked(1), f"[*0*] [*{sevens}*]") == REASON_COUNT_MISMATCH
     assert count_check(masked(1), f"[*0*] [*{sevens}*] [*{eights}*]") == REASON_COUNT_MISMATCH
     assert count_check(masked(1), f"[*0*] [*{sevens}*] [*{sevens}*]") == REASON_DUPLICATE
+
+
+def test_unmask_names_an_index_too_long_for_int_by_its_text():
+    # printing such an index in decimal would raise ValueError, not the rule's exception
+    long = "[*" + "7" * 5000 + "*]"
+    with pytest.raises(UnknownIndex, match=r"^placeholder '\[\*7{50}"):
+        unmask(long, ["a"], ["PER"])
+    with pytest.raises(DuplicateIndex) as exc:
+        unmask(f"[*0*] {long} {long}", ["a"], ["PER"])
+    assert len(str(exc.value)) < 100
 
 
 # --- unmask ----------------------------------------------------------------
@@ -317,19 +327,20 @@ def reference_unmask(template, entities, labels, origin_index=0):
 
     if len(entities) != len(labels):
         raise ValueError(f"{len(entities)} entity translations vs {len(labels)} labels")
+    hits = find_placeholders(template)
+    indices = [hit.index for hit in hits]
+    for k, hit in enumerate(hits):
+        if hit.index in indices[:k]:
+            raise DuplicateIndex(f"placeholder {hit.text!r:.60} repeats an earlier index")
+    for hit in hits:
+        if hit.index >= len(entities):
+            raise UnknownIndex(f"placeholder {hit.text!r:.60} is out of range for {len(entities)} entities")
+    absent = sorted(set(range(len(entities))) - set(indices))
+    if absent:
+        raise MissingIndex(f"placeholder index {absent[0]} is missing")
     for idx, entity in enumerate(entities):
         if not entity.strip():
             raise EmptyEntityTranslation(f"entity {idx} translated to whitespace")
-    hits = find_placeholders(template)
-    seen = set()
-    for hit in hits:
-        if hit.index >= len(entities):
-            raise UnknownIndex(f"placeholder index {hit.index} but only {len(entities)} entities")
-        if hit.index in seen:
-            raise DuplicateIndex(f"placeholder index {hit.index} occurs more than once")
-        seen.add(hit.index)
-    if len(seen) < len(entities):
-        raise MissingIndex(f"placeholder index {min(set(range(len(entities))) - seen)} is missing")
     base = "\ue000"
     while base in template:
         base += "\ue000"
@@ -405,3 +416,23 @@ def test_unmask_matches_pad_join_split_reference(case, origin):
     assert outcome(unmask, template, entities, labels, origin) == outcome(
         reference_unmask, template, entities, labels, origin
     )
+
+
+@given(st.lists(st.one_of(tolerant_placeholders(5), SAFE_WORD), max_size=6), st.lists(st.booleans(), max_size=4))
+@example(["[*1*]", "[*1*]"], [False])
+@example(["hello"], [True])
+def test_count_check_and_unmask_apply_one_index_rule(pieces, blank):
+    """count_check's reason is exactly the index exception unmask raises,
+    whatever the entities hold."""
+    template = " ".join(pieces)
+    entities = [" " if b else "e" for b in blank]
+    try:
+        unmask(template, entities, ["PER"] * len(entities))
+        raised = None
+    except (DuplicateIndex, UnknownIndex, MissingIndex) as exc:
+        raised = type(exc)
+    except (EmptyEntityTranslation, InvalidSentence):
+        raised = None
+    reason = {None: None, DuplicateIndex: REASON_DUPLICATE,
+              UnknownIndex: REASON_COUNT_MISMATCH, MissingIndex: REASON_COUNT_MISMATCH}[raised]
+    assert count_check(masked(len(entities)), template) == reason
