@@ -2,15 +2,14 @@
 
 Every backend maps an ordered list of texts to an equally long list of
 translations; one ``project_split`` batch is one ``translate`` call per
-attempt. A backend raises ``BackendTransient`` for a failure worth
-another attempt and names how many attempts and what backoff it wants in
-``retries`` and ``backoff_base``; ``project_split`` makes them. The
-identity, dictionary, and scrambler backends are deterministic stand-ins
-that make the pipeline testable offline; the HTTP backend talks to any
-JSON service implementing the plain ``{"texts": [...], "source": ...,
-"target": ...}`` → ``{"translations": [...]}`` protocol, one request per
-call, with a token-bucket rate limit. Each ``backend_id`` names the
-backend's configuration.
+attempt. A backend raises ``BackendTransient`` for a failure worth another
+attempt; ``project_split`` makes the attempts its ``retries`` and
+``backoff_base`` ask for, at the rate its ``limiter`` allows. The identity,
+dictionary, and scrambler backends are deterministic stand-ins that make
+the pipeline testable offline; the HTTP backend talks to any JSON service
+implementing the plain ``{"texts": [...], "source": ..., "target": ...}``
+→ ``{"translations": [...]}`` protocol, one request per call, its
+``limiter`` a token bucket. ``backend_id`` names a backend's configuration.
 """
 
 from __future__ import annotations
@@ -87,12 +86,14 @@ class Backend:
 
     ``project_split`` makes up to ``retries + 1`` attempts at a batch whose
     call raises ``BackendTransient``, waiting ``backoff_base * 2**(n - 1)``
-    seconds plus up to 25 % jitter before attempt n + 1.
+    seconds plus up to 25 % jitter before attempt n + 1, and takes a token
+    from ``limiter`` (a ``TokenBucket``, or None) before each attempt.
     """
 
     backend_id = "abstract"
     retries = 0
     backoff_base = 0.0
+    limiter = None
 
     def translate(self, texts: list[str], source_lang: str, target_lang: str) -> list[str]:
         raise NotImplementedError
@@ -138,7 +139,7 @@ class DictionaryBackend(Backend):
         return [self._translate_text(t) for t in texts]
 
     def _translate_text(self, text: str) -> str:
-        if "[" not in text:  # every placeholder starts with a literal "["
+        if "[" not in text and "［" not in text:  # every placeholder starts with one
             return self._translate_segment(text)
         out = []
         last = 0
@@ -181,7 +182,7 @@ class ScramblerBackend(Backend):
 
 
 class TokenBucket:
-    """Classic token bucket; acquire() blocks until a token is available."""
+    """Token bucket: acquire() waits for a token and takes it, or returns False once ``stop`` is set."""
 
     def __init__(self, rate: float, capacity: float | None = None):
         self.rate = float(rate)
@@ -190,34 +191,37 @@ class TokenBucket:
         self._last = time.monotonic()
         self._lock = threading.Lock()
 
-    def acquire(self) -> None:
-        while True:
+    def acquire(self, stop: threading.Event | None = None) -> bool:
+        stop = stop or threading.Event()
+        while not stop.is_set():
             with self._lock:
                 now = time.monotonic()
                 self._tokens = min(self.capacity, self._tokens + (now - self._last) * self.rate)
                 self._last = now
                 if self._tokens >= 1.0:
                     self._tokens -= 1.0
-                    return
+                    return True
                 wait = (1.0 - self._tokens) / self.rate
-            time.sleep(wait)
+            stop.wait(wait)
+        return False
 
 
 class HttpBackend(Backend):
     """Generic JSON translation service adapter.
 
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
-    [...]}`` in input order. One ``translate`` call is one request, so
-    batch through ``project_split(batch=...)``, which also makes the
-    ``retries``: a transport error or a 5xx answer raises
+    [...]}`` in input order. One ``translate`` call is one request, sent at
+    once: ``project_split(batch=...)`` batches, retries and paces it by
+    ``limiter``. A transport error or a 5xx answer raises
     ``BackendTransient``, any other status but 200 ``BackendUnavailable``.
     ``backend_id`` is the URL without userinfo, query or fragment, followed
     by ``?`` and 12 hex digits of the SHA-256 of the query when there is
     one: two URLs share cache entries only when they differ in nothing but
     userinfo and fragment, and no secret in the query reaches a cache file
     in clear. A URL that is not a full, parseable ``http(s)://host/path``
-    URL raises ValueError, as do a negative ``retries``, ``rate`` (``None``
-    or 0: no limit) or ``backoff_base`` and a ``timeout`` that is not > 0.
+    URL raises ValueError, as do a negative ``retries``, a ``rate`` (``None``
+    or 0: no limit) or ``backoff_base`` that is negative, NaN or infinite,
+    and a ``timeout`` that is not finite and > 0.
     """
 
     def __init__(
@@ -231,8 +235,10 @@ class HttpBackend(Backend):
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
-        if retries < 0 or backoff_base < 0 or (rate or 0) < 0 or timeout <= 0:
-            raise ValueError("http backend needs retries, rate and backoff_base >= 0, and timeout > 0")
+        inf = float("inf")  # NaN fails every comparison, so each test below rejects it
+        if not (retries >= 0 and 0 <= (rate or 0) < inf and 0 <= backoff_base < inf and 0 < timeout < inf):
+            raise ValueError("http backend needs retries, rate and backoff_base >= 0 and timeout > 0, "
+                             "all finite")
         try:
             parts = urlsplit(url)
             parts.port  # raises on a port that is not a number in 0-65535
@@ -247,28 +253,23 @@ class HttpBackend(Backend):
         self.retries = retries
         self.backoff_base = backoff_base
         self.timeout = timeout
-        self._api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         import requests
 
         self._session = session or requests.Session()
-        self._bucket = TokenBucket(rate) if rate else None
+        self.limiter = TokenBucket(rate) if rate else None
 
     def translate(self, texts, source_lang, target_lang):
         if not texts:
             return []
         import requests
 
-        headers = {}
-        if self._api_key:
-            headers["Authorization"] = f"Bearer {self._api_key}"
         payload = {"texts": list(texts), "source": source_lang, "target": target_lang}
-
-        if self._bucket is not None:
-            self._bucket.acquire()
         # error texts name the endpoint by backend_id and a transport error
         # by its class: the URL and the exception text may hold credentials
         try:
-            resp = self._session.post(self.url, json=payload, headers=headers, timeout=self.timeout)
+            resp = self._session.post(self.url, json=payload, headers=self._headers, timeout=self.timeout)
         except requests.RequestException as exc:
             raise BackendTransient(type(exc).__name__) from None
         if resp.status_code >= 500:

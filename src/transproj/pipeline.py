@@ -219,26 +219,27 @@ def project_split(
     This is :func:`stream_split` run to the end, so it holds every outcome
     at once; the CLI streams instead. Unique texts are collected across the
     split, so each is translated at most once per split, or once per run
-    when every split shares ``cache``, and looked up in ``cache`` once
-    each. ``cache`` must be opened for the scope ``(backend.backend_id,
+    when every split shares ``cache``, and looked up in ``cache`` once each.
+    ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
     any lookup or request. Only the misses are sent, ``batch`` at a time:
     one batch is one request plus its retries, each attempt one
-    ``backend.translate`` call, so a failed request excludes only
-    sentences that need one of its texts. A batch whose call raises
+    ``backend.translate`` call, so a failed request excludes only sentences
+    that need one of its texts. A batch whose call raises
     ``BackendTransient`` is sent again up to ``backend.retries`` times,
-    after a backoff that doubles from ``backend.backoff_base`` seconds,
-    with up to 25 % jitter. ``parallelism`` caps the requests in flight:
-    one worker makes each attempt while it holds one of ``parallelism``
-    slots, and waits out a backoff without one, so another batch sends
-    meanwhile. At 1 the worker runs on the calling thread; above 1, on
-    ``2 * parallelism`` threads. Under the strict policy the first failed
-    request aborts the run and no attempt is made after that, not even
-    by a batch waiting out a backoff. This is the only code that reads or
-    writes the cache and that counts into the report, on the calling
-    thread and in request order: a finished request is stored only once
-    every earlier one has returned. A slow or backing-off request does not
-    stop the other slots, so a crash loses every request that finished
+    after a backoff that doubles from ``backend.backoff_base`` seconds, with
+    up to 25 % jitter. ``parallelism`` caps the requests in flight: one
+    worker makes each attempt while it holds one of ``parallelism`` slots,
+    and waits out a backoff without one, so another batch sends meanwhile;
+    in the slot it first takes a ``backend.limiter`` token, if it has one.
+    At 1 the worker runs on the calling thread; above 1, on ``2 *
+    parallelism`` threads. Under the strict policy the first failed request
+    aborts the run and no attempt is made after that, not even by a batch
+    waiting out a backoff or waiting on the limiter. This is the only code
+    that reads or writes the cache and that counts into the report, on the
+    calling thread and in request order: a finished request is stored only
+    once every earlier one has returned. A slow or backing-off request does
+    not stop the other slots, so a crash loses every request that finished
     after the oldest one not yet stored, for a rerun to send again. Output
     order, output bytes and the cache file's bytes do not depend on
     parallelism for a deterministic backend.
@@ -314,11 +315,11 @@ def stream_split(
 
     def send(texts: list[str]):
         """Send one batch: up to ``backend.retries + 1`` attempts while the
-        backend fails transiently, each holding a slot and made only if the
-        run has not stopped. The backoff between attempts holds no slot, so
-        another batch sends meanwhile. (translations, None), or (None,
-        error) when the backend fails, so one failed batch does not raise
-        inside the pool."""
+        backend fails transiently, each in a slot, after a limiter token,
+        and only if the run has not stopped; a stop also ends the wait for
+        a token. The backoff between attempts holds no slot, so another
+        batch sends meanwhile. (translations, None), or (None, error) when
+        the backend fails, so one failed batch does not raise inside the pool."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
         attempts = backend.retries + 1
         for attempt in range(attempts):
@@ -326,6 +327,8 @@ def stream_split(
                 delay = backend.backoff_base * 2 ** (attempt - 1)
                 time.sleep(delay * (1.0 + 0.25 * random.random()))
             with slots:
+                if backend.limiter is not None:
+                    backend.limiter.acquire(stop)
                 if stop.is_set():
                     return None, "not sent: the run stopped"
                 try:

@@ -3,9 +3,9 @@
 Entity spans are replaced by ``[*i*]`` sentinels (0-based, in order of
 appearance) before translation, so an MT engine can move an entity without
 losing track of which one it is. On the way back, hits are detected with a
-deliberately tolerant grammar — engines like to add spaces inside the
-brackets or localize the digits — normalized, and each placeholder is
-replaced by the separately translated entity with matching index.
+deliberately tolerant grammar (engines add spaces or invisible marks inside
+the brackets, or localize brackets, stars and digits), and each placeholder
+is replaced by the separately translated entity with matching index.
 """
 
 from __future__ import annotations
@@ -20,21 +20,20 @@ from .spans import EntitySpan, extract_spans
 REASON_COUNT_MISMATCH = "placeholder-count-mismatch"
 REASON_DUPLICATE = "duplicate-placeholder"
 
-# "[", optional whitespace, "*", optional whitespace, 1+ digits, optional
-# whitespace, "*", optional whitespace, "]". Digits may be ASCII,
-# Arabic-Indic (U+0660-0669) or Extended Arabic-Indic (U+06F0-06F9).
+# A placeholder is "[" or "［", a star, 1+ digits, a star, then "]" or "］".
+# A star is "*", "＊" or "٭"; digits may be ASCII, Arabic-Indic
+# (U+0660-0669) or Extended Arabic-Indic (U+06F0-06F9); whitespace or
+# invisible format characters (soft hyphen, bidi marks and embeddings,
+# zero-width characters, BOM) may stand between the parts. A fragment is
+# what an engine may leave of a placeholder it mangled: a bracket then a
+# star, a star then a bracket, or digits between two stars, so every
+# fragment holds a star. Placeholder syntax is reserved: a source whose
+# joined tokens hold a fragment collides, and a fragment in a projected
+# sentence leaked from the translation.
 _DIGITS = "0-9٠-٩۰-۹"
-PLACEHOLDER_RE = re.compile(rf"\[\s*\*\s*([{_DIGITS}]+)\s*\*\s*\]")
-
-# What an engine may leave of a placeholder it mangled: "[" or "［" then a
-# star, a star then "]" or "］", or digits between two stars, where a star is
-# "*", "＊" or "٭", and whitespace or invisible format characters (soft
-# hyphen, bidi marks and embeddings, zero-width characters, BOM) may stand
-# between the parts. Every fragment holds a star. Placeholder syntax is
-# reserved: a source whose joined tokens hold a fragment collides, and a
-# fragment in a projected sentence leaked from the translation.
 _STARS = "*＊٭"
 _GAP = r"[\s\u00ad\u061c\u200b-\u200f\u202a-\u202e\u2060-\u2064\ufeff]*"
+PLACEHOLDER_RE = re.compile(rf"[\[［]{_GAP}[{_STARS}]{_GAP}([{_DIGITS}]+){_GAP}[{_STARS}]{_GAP}[\]］]")
 PLACEHOLDER_FRAGMENT_RE = re.compile(
     rf"[\[［]{_GAP}[{_STARS}]|[{_STARS}]{_GAP}[\]］]|[{_STARS}]{_GAP}[{_DIGITS}]+{_GAP}[{_STARS}]"
 )

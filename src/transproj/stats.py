@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 
 from .conll_io import DatasetSplit
@@ -85,7 +86,7 @@ def split_stats(split: DatasetSplit) -> SplitStats:
     return SplitStats(split.name, len(split.sentences), total, labels)
 
 
-def overall_stats(parts: list[SplitStats], name: str = "overall") -> SplitStats:
+def overall_stats(parts: Collection[SplitStats], name: str = "overall") -> SplitStats:
     labels: dict[str, int] = {}
     for part in parts:
         for label, n in part.label_counts.items():
@@ -109,16 +110,12 @@ def delta_stats(source: SplitStats, target: SplitStats) -> DeltaStats:
     return DeltaStats(source.split_name, target.n_sentences - source.n_sentences, d_avg)
 
 
-def _overall(by_split: dict[str, SplitStats]) -> SplitStats:
-    return overall_stats(list(by_split.values()))
-
-
 def _deltas(source: dict[str, SplitStats],
             target: dict[str, SplitStats]) -> tuple[dict[str, DeltaStats], DeltaStats]:
     """delta_stats of each split both corpora hold, in SPLIT_ORDER, and of
     the two corpora's overall stats."""
     splits = {n: delta_stats(source[n], target[n]) for n in SPLIT_ORDER if n in source and n in target}
-    return splits, delta_stats(_overall(source), _overall(target))
+    return splits, delta_stats(overall_stats(source.values()), overall_stats(target.values()))
 
 
 def _row(label: str, by_split: dict, overall: SplitStats | DeltaStats) -> list[str]:
@@ -131,7 +128,7 @@ def render_stats_table(corpora: list[tuple[str, dict[str, SplitStats]]]) -> str:
     and the overall rounded average token count, plus one delta row when two
     corpora are given."""
     header = ["dataset", *SPLIT_ORDER, "avg"]
-    rows = [header] + [_row(name, by_split, _overall(by_split)) for name, by_split in corpora]
+    rows = [header] + [_row(name, by_split, overall_stats(by_split.values())) for name, by_split in corpora]
     if len(corpora) == 2:
         (src_name, src), (tgt_name, tgt) = corpora
         rows.append(_row(f"Δ {tgt_name}-{src_name}", *_deltas(src, tgt)))
@@ -147,7 +144,7 @@ def stats_report(corpora: list[tuple[str, dict[str, SplitStats]]]) -> dict:
     the overall delta."""
     doc: dict = {"corpora": [
         {"name": name, "splits": {k: v.to_dict() for k, v in by_split.items()},
-         "overall": _overall(by_split).to_dict()}
+         "overall": overall_stats(by_split.values()).to_dict()}
         for name, by_split in corpora
     ]}
     if len(corpora) == 2:

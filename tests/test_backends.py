@@ -684,9 +684,14 @@ def test_a_project_split_batch_is_one_request_and_an_empty_call_sends_none(stub_
     assert report.counters.backend_calls == stub.request_count == 1
 
 
+NOT_FINITE = [(name, value) for name in ("rate", "backoff_base", "timeout") for value in ("nan", "inf", "-inf")]
+
+
 @pytest.mark.parametrize("setting", [
     {"retries": -1}, {"rate": -1}, {"backoff_base": -0.5}, {"timeout": 0}, {"timeout": -1},
-], ids=["retries", "rate", "backoff_base", "zero-timeout", "negative-timeout"])
+    *({name: float(value)} for name, value in NOT_FINITE),
+], ids=["retries", "rate", "backoff_base", "zero-timeout", "negative-timeout",
+        *(f"{name}-{value}" for name, value in NOT_FINITE)])
 def test_http_backend_rejects_a_setting_out_of_range(setting):
     with pytest.raises(ValueError, match="http backend needs retries, rate and backoff_base >= 0"):
         HttpBackend("http://example.invalid/t", **setting)

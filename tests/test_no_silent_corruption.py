@@ -150,13 +150,12 @@ def placeholder_forms(k):
     """(intact, mangled): forms the tolerant grammar reads as placeholder
     k, and forms an engine leaves that it must not."""
     digit = str(k)
-    intact = [f"[*{digit}*]", f"[ *{digit}* ]", f"[* {digit} *]",
-              f"[*{digit.translate(LOCAL_DIGITS)}*]", f"[*{chr(0x0660 + k)}*]"]
     compact = f"[*{digit}*]"
-    mangled = [f"［＊{digit}＊］", f"[٭{digit}٭]"]
-    mangled += [compact[:i] + c + compact[i:] for i in (1, 2, 3, 4) for c in FORMAT_CHARS]
+    intact = [compact, f"[ *{digit}* ]", f"[* {digit} *]", f"[*{digit.translate(LOCAL_DIGITS)}*]",
+              f"[*{chr(0x0660 + k)}*]", f"［＊{digit}＊］", f"[٭{digit}٭]", f"［*{digit}*］"]
+    intact += [compact[:i] + c + compact[i:] for i in (1, 2, 3, 4) for c in FORMAT_CHARS]
     # cut at either end, keeping at least two characters
-    mangled += [compact[:i] for i in range(2, len(compact))]
+    mangled = [compact[:i] for i in range(2, len(compact))]
     mangled += [compact[i:] for i in range(1, len(compact) - 1)]
     return intact, mangled
 

@@ -1,9 +1,13 @@
+import json
+import os
 import re
 import sys
+import tempfile
 import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -219,10 +223,11 @@ class AppendsToTemplate(IdentityBackend):
 
 
 @pytest.mark.parametrize("extra, reason", [
-    ("[\u200f*0*]", REASON_PLACEHOLDER_LEAK),  # right-to-left mark
-    ("[*\u200c0*]", REASON_PLACEHOLDER_LEAK),  # zero-width non-joiner
-    ("［＊0＊］", REASON_PLACEHOLDER_LEAK),
-    ("[٭0٭]", REASON_PLACEHOLDER_LEAK),
+    # a whole placeholder in any form the grammar admits is a second placeholder 0
+    ("[\u200f*0*]", REASON_DUPLICATE),  # right-to-left mark
+    ("[*\u200c0*]", REASON_DUPLICATE),  # zero-width non-joiner
+    ("［＊0＊］", REASON_DUPLICATE),
+    ("[٭0٭]", REASON_DUPLICATE),
     ("*0*]", REASON_PLACEHOLDER_LEAK),
     ("[*0*", REASON_PLACEHOLDER_LEAK),
     ("[*", REASON_PLACEHOLDER_LEAK),
@@ -233,6 +238,19 @@ def test_placeholder_residue_in_translation_is_excluded(extra, reason):
     outcome = project_sentence(sent(["John", "lives", "here"], ["B-PER", "O", "O"]),
                                AppendsToTemplate(extra), "en", "fa")
     assert (outcome.reason, outcome.detail) == (reason, f"[*0*] lives here {extra}")
+
+
+@pytest.mark.parametrize("placeholder_0", [
+    "[*\u200c0*]", "[\u200c*0*\u200c]", "[٭0٭]", "［*0*］", "[＊۰＊]",
+], ids=["zwnj-inside", "zwnj-inside-brackets", "arabic-star", "fullwidth-brackets",
+        "fullwidth-star-persian-digit"])
+def test_a_placeholder_in_any_form_the_fragment_rule_names_is_read_back(placeholder_0):
+    # one grammar: what the leak rule counts as placeholder syntax reads back as a placeholder
+    backend = MapTexts({"[*0*] lives": f"{placeholder_0} zendegi", "John": "jan"})
+    outcome = project_sentence(sent(["John", "lives"], ["B-PER", "O"]), backend, "en", "fa")
+    assert outcome.reason is None
+    out = outcome.sentence
+    assert (out.tokens, [t.raw for t in out.tags]) == (["jan", "zendegi"], ["B-PER", "O"])
 
 
 def test_a_fragment_in_place_of_another_the_source_held_is_a_leak():
@@ -873,3 +891,144 @@ def test_a_strict_abort_stops_a_batch_in_retry_backoff(monkeypatch):
     assert backoffs == [True]
     assert [texts for texts, after_abort in posts if after_abort] == []
     assert sorted(texts for texts, _ in posts) == [["w0"], ["w1"]]
+
+
+class Answer:
+    """What a fake session's POST returns: a status, and the texts as the translations."""
+
+    def __init__(self, status, texts):
+        self.status_code, self._texts = status, texts
+
+    def json(self):
+        return {"translations": self._texts}
+
+
+def pool_marking_shutdown(event):
+    """A ThreadPoolExecutor that sets ``event`` when stream_split shuts it
+    down, which it does right after it sets its stop event."""
+
+    class Pool(ThreadPoolExecutor):
+        def shutdown(self, *args, **kwargs):
+            event.set()
+            super().shutdown(*args, **kwargs)
+
+    return Pool
+
+
+@pytest.mark.parametrize("parallelism", [2, 3])
+def test_a_strict_abort_ends_a_wait_on_the_rate_limiter_and_sends_nothing_more(monkeypatch, parallelism):
+    """At 5 requests a second the bucket starts with five tokens, so the
+    sixth request waits 200 ms for one. w0's 400 comes after 50 ms; the abort
+    must end that wait, and no POST may start after it."""
+    aborted = threading.Event()
+    posts = []  # whether the run had aborted, per POST
+
+    class Session:
+        def post(self, url, json=None, headers=None, timeout=None):
+            posts.append(aborted.is_set())
+            if json["texts"] == ["w0"]:
+                time.sleep(0.05)
+                return Answer(400, json["texts"])
+            return Answer(200, json["texts"])
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", pool_marking_shutdown(aborted))
+    backend = HttpBackend("http://example.invalid/t", session=Session(), rate=5.0, retries=0)
+    started = time.monotonic()
+    with pytest.raises(AbortedRun, match="HTTP 400"):
+        project_split(word_split(12), backend, "en", "fa", batch=1, parallelism=parallelism,
+                      on_error="strict")
+    assert time.monotonic() - started < 0.2
+    assert 2 <= len(posts) <= 5 and True not in posts
+
+
+class Flaky(IdentityBackend):
+    """Identity, except that a batch fails transiently, with ``HTTP 503``,
+    on as many attempts as ``faults`` gives any of its texts, and each
+    attempt takes the longest ``delays`` of its texts. Faults are keyed by
+    content, so they do not depend on the schedule. Counts the attempts at
+    each batch, and records a batch whose attempt starts once ``aborted``
+    is set."""
+
+    backend_id = "flaky"
+
+    def __init__(self, faults, delays, retries, limiter=None, aborted=None):
+        self.faults, self.delays = faults, delays
+        self.retries, self.limiter = retries, limiter
+        self.aborted = aborted or threading.Event()
+        self.attempts = Counter()
+        self.after_abort = []
+        self._lock = threading.Lock()
+
+    def failures(self, texts):
+        return max(self.faults.get(t, 0) for t in texts)
+
+    def translate(self, texts, source_lang, target_lang):
+        key = tuple(texts)
+        with self._lock:
+            if self.aborted.is_set():
+                self.after_abort.append(key)
+            attempt = self.attempts[key]
+            self.attempts[key] += 1
+        time.sleep(max(self.delays.get(t, 0) for t in texts))
+        if attempt < self.failures(texts):
+            raise backends.BackendTransient("HTTP 503")
+        return list(texts)
+
+
+@settings(deadline=None)
+@given(small_splits(), st.data())
+def test_transient_faults_cost_retries_not_sentences(split, data):
+    texts = list(dict.fromkeys(t for s in split.sentences for t in masked_texts(s)))
+    faults = {t: data.draw(st.integers(0, 3), label=f"faults of {t!r}") for t in texts}
+    delays = {t: data.draw(st.sampled_from([0, 0, 0.001]), label=f"delay of {t!r}") for t in texts}
+    retries = data.draw(st.integers(0, 3), label="retries")
+    batch = data.draw(st.integers(1, 5), label="batch")
+    parallelism = data.draw(st.integers(1, 4), label="parallelism")
+    # a fast bucket, so that attempts also wait on the limiter
+    limited = data.draw(st.booleans(), label="limited")
+
+    def flaky(retries, aborted=None):
+        limiter = backends.TokenBucket(rate=2000, capacity=1) if limited else None
+        return Flaky(faults, delays, retries, limiter, aborted)
+
+    def run(backend, parallelism, on_error="lenient"):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "memory.jsonl")
+            with TranslationCache(path, (backend.backend_id, "en", "fa")) as cache:
+                _, outcomes, report = project_split(split, backend, "en", "fa", batch=batch,
+                                                    parallelism=parallelism, cache=cache, on_error=on_error)
+            with open(path, "rb") as fh:
+                return outcomes, fh.read(), {**report.to_dict(), "duration_seconds": None}
+
+    healthy = run(Flaky({}, {}, 0), 1)
+    enough = flaky(max(faults.values()))
+    assert run(enough, parallelism) == healthy
+    assert all(n == enough.failures(key) + 1 for key, n in enough.attempts.items())
+
+    backend = flaky(retries)
+    outcomes, memory, report = run(backend, parallelism)
+    # every batch got one attempt more than its faults, or ran out of attempts
+    assert all(n == min(backend.failures(key), retries) + 1 for key, n in backend.attempts.items())
+    exhausted = {t for key in backend.attempts if backend.failures(key) > retries for t in key}
+    detail = f"giving up on flaky after {retries + 1} attempts: HTTP 503"
+    for s, outcome, expected in zip(split.sentences, outcomes, healthy[0]):
+        if exhausted.intersection(masked_texts(s)):
+            assert (outcome.reason, outcome.detail) == (REASON_BACKEND_FAILURE, detail)
+        else:
+            assert content(outcome) == content(expected)
+    kept = [line for line in healthy[1].splitlines(keepends=True)
+            if json.loads(line)["source_text"] not in exhausted]
+    assert memory == b"".join(kept)
+    failed_batches = sum(backend.failures(key) > retries for key in backend.attempts)
+    assert report["backend_calls"] == healthy[2]["backend_calls"] - failed_batches
+    assert report["texts_translated"] == healthy[2]["texts_translated"] - len(exhausted)
+
+    aborted = threading.Event()
+    strict = flaky(retries, aborted)
+    with mock.patch.object(pipeline, "ThreadPoolExecutor", pool_marking_shutdown(aborted)):
+        if exhausted:
+            with pytest.raises(AbortedRun, match=re.escape(detail)):
+                run(strict, parallelism, "strict")
+        else:
+            assert run(strict, parallelism, "strict") == healthy
+    assert strict.after_abort == []
