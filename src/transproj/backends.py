@@ -112,13 +112,15 @@ class DictionaryBackend(Backend):
     """Word-by-word lookup in a TSV map; unknown words pass through.
 
     Substrings matching the tolerant placeholder grammar are never touched,
-    whatever the map contains. ``backend_id`` fingerprints the map.
+    whatever the map contains. ``backend_id`` fingerprints the whole map,
+    though its empty key is never looked up: a word is never empty.
     """
 
     def __init__(self, mapping: dict[str, str]):
         self._map = dict(mapping)
         blob = json.dumps(sorted(self._map.items()), ensure_ascii=False).encode("utf-8")
         self.backend_id = f"dict:{hashlib.sha256(blob).hexdigest()[:12]}"
+        self._map.pop("", None)  # counted in the fingerprint, but an empty part must stay empty
 
     @classmethod
     def from_file(cls, path: str) -> "DictionaryBackend":
@@ -143,18 +145,18 @@ class DictionaryBackend(Backend):
             return self._translate_segment(text)
         out = []
         last = 0
-        for hit in find_placeholders(text):
-            out.append(self._translate_segment(text[last:hit.start]))
-            out.append(hit.text)
-            last = hit.end
+        for _, start, end, found in find_placeholders(text):
+            out.append(self._translate_segment(text[last:start]))
+            out.append(found)
+            last = end
         out.append(self._translate_segment(text[last:]))
         return "".join(out)
 
     def _translate_segment(self, segment: str) -> str:
         # the even parts hold no whitespace, the odd ones are whitespace runs
         parts = _WHITESPACE_RUN.split(segment)
-        lookup = self._map.get
-        parts[::2] = [lookup(p, p) if p else p for p in parts[::2]]
+        words = parts[::2]
+        parts[::2] = map(self._map.get, words, words)
         return "".join(parts)
 
 
@@ -219,9 +221,10 @@ class HttpBackend(Backend):
     one: two URLs share cache entries only when they differ in nothing but
     userinfo and fragment, and no secret in the query reaches a cache file
     in clear. A URL that is not a full, parseable ``http(s)://host/path``
-    URL raises ValueError, as do a negative ``retries``, a ``rate`` (``None``
-    or 0: no limit) or ``backoff_base`` that is negative, NaN or infinite,
-    and a ``timeout`` that is not finite and > 0.
+    URL raises ValueError, as do a ``retries`` that is not an ``int`` >= 0
+    (a ``bool`` is not one), a ``rate`` (``None`` or 0: no limit) or
+    ``backoff_base`` that is negative, NaN or infinite, and a ``timeout``
+    that is not finite and > 0.
     """
 
     def __init__(
@@ -236,9 +239,10 @@ class HttpBackend(Backend):
         session: requests.Session | None = None,
     ):
         inf = float("inf")  # NaN fails every comparison, so each test below rejects it
-        if not (retries >= 0 and 0 <= (rate or 0) < inf and 0 <= backoff_base < inf and 0 < timeout < inf):
+        if not (type(retries) is int and retries >= 0 and 0 <= (rate or 0) < inf and 0 <= backoff_base < inf
+                and 0 < timeout < inf):
             raise ValueError("http backend needs retries, rate and backoff_base >= 0 and timeout > 0, "
-                             "all finite")
+                             "all finite, and retries an int")
         try:
             parts = urlsplit(url)
             parts.port  # raises on a port that is not a number in 0-65535

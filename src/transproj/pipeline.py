@@ -24,6 +24,7 @@ from collections import Counter
 from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 from . import placeholder as ph
 from .backends import (
@@ -67,8 +68,7 @@ class AbortedRun(RuntimeError):
     """Raised under the strict policy when the backend fails for good."""
 
 
-@dataclass(frozen=True)
-class ProjectionOutcome:
+class ProjectionOutcome(NamedTuple):
     """Either a projected sentence or an exclusion, for one source sentence."""
 
     origin_index: int

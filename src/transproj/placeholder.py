@@ -11,7 +11,7 @@ is replaced by the separately translated entity with matching index.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conll_io import Tag, TaggedSentence
 from .spans import EntitySpan, extract_spans
@@ -59,8 +59,7 @@ class EmptyEntityTranslation(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class PlaceholderHit:
+class PlaceholderHit(NamedTuple):
     """One placeholder found in scanned text."""
 
     index: int
@@ -69,8 +68,7 @@ class PlaceholderHit:
     text: str
 
 
-@dataclass(frozen=True)
-class MaskedSentence:
+class MaskedSentence(NamedTuple):
     """Template with ``[*i*]`` sentinels plus the masked entities in order."""
 
     template: str
@@ -188,13 +186,13 @@ def unmask(
     tokens: list[str] = []
     tags: list[Tag] = []
     last = 0
-    for hit in hits:
-        words = translated_template[last:hit.start].split()
-        ent_words = translated_entities[hit.index].split()
-        label = labels[hit.index]
+    for index, start, end, _ in hits:
+        words = translated_template[last:start].split()
+        ent_words = translated_entities[index].split()
+        label = labels[index]
         tokens += words + ent_words
         tags += [outside] * len(words) + [Tag.begin(label)] + [Tag.inside(label)] * (len(ent_words) - 1)
-        last = hit.end
+        last = end
     words = translated_template[last:].split()
     tokens += words
     tags += [outside] * len(words)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .conll_io import Tag, TaggedSentence, validate_scheme
 
@@ -21,8 +21,7 @@ class SpanOutOfRange(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class EntitySpan:
+class EntitySpan(NamedTuple):
     """Half-open token range [start, end) carrying one entity label."""
 
     start: int

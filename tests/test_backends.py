@@ -121,6 +121,14 @@ def test_dictionary_file_rejects_ragged_line(tmp_path):
         DictionaryBackend.from_file(str(path))
 
 
+def test_dictionary_backend_id_fingerprints_the_whole_map_and_never_looks_up_an_empty_word(data_dir):
+    assert DictionaryBackend.from_file(str(data_dir / "dict_en_fa.tsv")).backend_id == "dict:4dbbb2814cc8"
+    # the empty key still counts in the fingerprint, though a word is never empty
+    backend = DictionaryBackend({"": "C", "a": "A"})
+    assert backend.backend_id == "dict:cc35031f8353"
+    assert backend.translate([" a  b ", "[*0*] a"], "en", "fa") == [" A  b ", "[*0*] A"]
+
+
 def test_scrambler_reverses_with_seed_zero():
     backend = ScramblerBackend(0)
     assert backend.translate(["[*0*] x [*1*]"], "en", "fa") == ["[*1*] x [*0*]"]
@@ -690,8 +698,10 @@ NOT_FINITE = [(name, value) for name in ("rate", "backoff_base", "timeout") for 
 @pytest.mark.parametrize("setting", [
     {"retries": -1}, {"rate": -1}, {"backoff_base": -0.5}, {"timeout": 0}, {"timeout": -1},
     *({name: float(value)} for name, value in NOT_FINITE),
+    {"retries": 1.5}, {"retries": float("inf")}, {"retries": True},
 ], ids=["retries", "rate", "backoff_base", "zero-timeout", "negative-timeout",
-        *(f"{name}-{value}" for name, value in NOT_FINITE)])
+        *(f"{name}-{value}" for name, value in NOT_FINITE),
+        "retries-1.5", "retries-inf", "retries-True"])
 def test_http_backend_rejects_a_setting_out_of_range(setting):
     with pytest.raises(ValueError, match="http backend needs retries, rate and backoff_base >= 0"):
         HttpBackend("http://example.invalid/t", **setting)

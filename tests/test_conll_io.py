@@ -1,10 +1,12 @@
 import itertools
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from transproj import conll_io
 from transproj.conll_io import (
     DatasetSplit,
     InvalidSentence,
@@ -345,6 +347,15 @@ def test_reader_matches_line_by_line_reference(text):
     assert [(s.tokens, [t.raw for t in s.tags], s.origin_index) for s in split.sentences] == sentences
     assert line_map == lines
     assert split.dropped_empty == dropped
+
+
+@given(conll_documents(), st.integers(1, 64))
+@example("a O\n\nb B-PER\nc I-PER\n\n", 1)
+@example("a O\n-DOCSTART-\n\nb O\nragged\n", 7)
+def test_reader_in_blocks_of_any_size_matches_line_by_line_reference(text, block):
+    # the comparison of the property above, with lines that straddle many blocks
+    with mock.patch.object(conll_io, "_BLOCK", block):
+        test_reader_matches_line_by_line_reference.hypothesis.inner_test(text)
 
 
 def test_a_token_repeated_across_sentences_is_one_str():

@@ -386,6 +386,27 @@ def test_run_report_dict_keys_keep_their_order():
     assert list(as_dict["cache"]) == ["entries_loaded", "corrupt_lines"]
 
 
+SPAN = spans.EntitySpan(0, 1, "PER", "John")
+
+
+@pytest.mark.parametrize("record, fields, text", [
+    (placeholder.PlaceholderHit(0, 2, 7, "[*0*]"), ("index", "start", "end", "text"),
+     "PlaceholderHit(index=0, start=2, end=7, text='[*0*]')"),
+    (SPAN, ("start", "end", "label", "surface"), "EntitySpan(start=0, end=1, label='PER', surface='John')"),
+    (placeholder.MaskedSentence("[*0*] said", (SPAN,)), ("template", "entities"),
+     f"MaskedSentence(template='[*0*] said', entities=({SPAN!r},))"),
+    (pipeline.ProjectionOutcome(3, reason=REASON_DUPLICATE, detail="[*0*] [*0*]"),
+     ("origin_index", "sentence", "reason", "detail"),
+     "ProjectionOutcome(origin_index=3, sentence=None, reason='duplicate-placeholder', detail='[*0*] [*0*]')"),
+], ids=["PlaceholderHit", "EntitySpan", "MaskedSentence", "ProjectionOutcome"])
+def test_a_record_keeps_its_attribute_names_and_repr_and_rejects_assignment(record, fields, text):
+    assert repr(record) == text
+    for name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+
+
 # --- project_split -------------------------------------------------------------
 
 
