@@ -233,16 +233,16 @@ def project_split(
     and waits out a backoff without one, so another batch sends meanwhile;
     in the slot it first takes a ``backend.limiter`` token, if it has one.
     At 1 the worker runs on the calling thread; above 1, on ``2 *
-    parallelism`` threads. Under the strict policy the first failed request
-    aborts the run and no attempt is made after that, not even by a batch
-    waiting out a backoff or waiting on the limiter. This is the only code
-    that reads or writes the cache and that counts into the report, on the
-    calling thread and in request order: a finished request is stored only
-    once every earlier one has returned. A slow or backing-off request does
-    not stop the other slots, so a crash loses every request that finished
-    after the oldest one not yet stored, for a rerun to send again. Output
-    order, output bytes and the cache file's bytes do not depend on
-    parallelism for a deterministic backend.
+    parallelism`` threads. Under the strict policy no attempt starts once a
+    request has failed for good, not even after a backoff or a wait on the
+    limiter, and the run aborts with the first failure in request order.
+    This is the only code that reads or writes the cache and that counts
+    into the report, on the calling thread and in request order: a finished
+    request is stored only once every earlier one has returned. A slow or
+    backing-off request does not stop the other slots, so a crash loses
+    every request that finished after the oldest one not yet stored, for a
+    rerun to send again. Output order, output bytes and the cache file's
+    bytes do not depend on parallelism for a deterministic backend.
     """
     started = time.monotonic()
     report = RunReport()
@@ -317,9 +317,9 @@ def stream_split(
         """Send one batch: up to ``backend.retries + 1`` attempts while the
         backend fails transiently, each in a slot, after a limiter token,
         and only if the run has not stopped; a stop also ends the wait for
-        a token. The backoff between attempts holds no slot, so another
-        batch sends meanwhile. (translations, None), or (None, error) when
-        the backend fails, so one failed batch does not raise inside the pool."""
+        a token. The backoff holds no slot, so another batch sends meanwhile.
+        (translations, None), (None, error) when the backend fails, so no
+        failed batch raises inside the pool, or (None, None) if not sent."""
         request = TranslationRequest(tuple(texts), source_lang, target_lang)
         attempts = backend.retries + 1
         for attempt in range(attempts):
@@ -330,26 +330,32 @@ def stream_split(
                 if backend.limiter is not None:
                     backend.limiter.acquire(stop)
                 if stop.is_set():
-                    return None, "not sent: the run stopped"
+                    return None, None
                 try:
                     return translate_batch(request, backend), None
                 except BackendTransient as exc:
-                    error = str(exc)
+                    if attempt < backend.retries:
+                        continue
+                    error = f"giving up on {backend.backend_id} after {attempts} attempts: {exc}"
                 except BackendError as exc:
-                    return None, str(exc)
-        return None, f"giving up on {backend.backend_id} after {attempts} attempts: {error}"
+                    error = str(exc)
+                if on_error == POLICY_STRICT:
+                    stop.set()  # before the slot is free, so no batch waiting for it sends
+                return None, error
 
     # with one slot there is nothing to overlap, so requests run on this thread
     pool = ThreadPoolExecutor(max_workers=2 * parallelism) if parallelism > 1 else None
     try:
         for texts, (result, error) in zip(batches, (pool.map if pool else map)(send, batches)):
-            if error is None:
+            if result is not None:
                 report.counters.backend_calls += 1
                 report.counters.texts_translated += len(texts)
                 translations.update(zip(texts, result))
                 if cache is not None:
                     for text, out in zip(texts, result):
                         cache.store(text, out)
+            elif error is None:
+                continue  # not sent: a strict failure later in request order stopped the run
             elif on_error == POLICY_STRICT:
                 raise AbortedRun(error)
             else:

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -84,18 +85,6 @@ def test_translate_parse_error_exit_code(tmp_path):
         "--src", "en", "--tgt", "fa", "--backend", "identity",
     ])
     assert code == 3
-
-
-def test_translate_strict_abort_exit_code(fixture_paths, tmp_path, monkeypatch):
-    monkeypatch.setattr("transproj.backends.time.sleep", lambda s: None)
-    code = cli.main(
-        translate_args(
-            fixture_paths, tmp_path / "out",
-            backend="http:http://127.0.0.1:1/translate",
-            **{"on-backend-error": "strict"},
-        )
-    )
-    assert code == 4
 
 
 def test_translate_lenient_backend_failure_excludes_everything(fixture_paths, tmp_path, monkeypatch):
@@ -405,8 +394,13 @@ def test_translate_report_counts_backend_calls_texts_and_cache_hits(tmp_path, ca
     # warm: every one of the five texts the two splits reference is a hit
     report, out = run("warm")
     assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (0, 0, 5)
-    assert report["cache"]["entries_loaded"] == 4
+    assert report["cache"] == {"entries_loaded": 4, "corrupt_lines": []}
     assert "backend: 0 calls, 0 texts translated, 5 cache hits" in out
+    # a torn last line that is not UTF-8 is skipped, and the memory still serves the run
+    with memory.open("ab") as fh:
+        fh.write(b'{"backend_id": "\xff')
+    report, _ = run("torn")
+    assert (report["backend_calls"], report["cache"]) == (0, {"entries_loaded": 4, "corrupt_lines": [5]})
 
 
 def test_translate_report_shows_loaded_scope_and_every_corrupt_line(fixture_paths, tmp_path, capsys):
@@ -475,13 +469,34 @@ def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, 
                 cache.store(text, text)
             known.update(misses)
 
+    report_path = tmp_path / "report.json"
     code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"http:{stub.url}",
-                                   cache=memory, batch=batch, parallel=1))
+                                   cache=memory, batch=batch, parallel=1, report=report_path))
     assert code == 0
-    assert stub.request_count == posts
+    assert stub.request_count == json.loads(read(report_path))["backend_calls"] == posts
     assert memory.read_bytes() == expected.read_bytes()
     for name, source in fixture_paths.items():
         assert read(tmp_path / "out" / f"{name}.conll") == read(source)
+
+
+def test_a_retried_503_costs_one_post_and_no_sentence(fixture_paths, tmp_path, stub_server, monkeypatch):
+    monkeypatch.setattr("transproj.backends.time.sleep", lambda s: None)
+    stub = stub_server(fail_first=1)
+    report_path = tmp_path / "report.json"
+    assert cli.main(translate_args(fixture_paths, tmp_path / "out", backend=stub.url, report=report_path)) == 0
+    report = json.loads(read(report_path))
+    assert stub.request_count == report["backend_calls"] + 1
+    assert report["exclusions_by_reason"] == {}
+
+
+def test_a_strict_http_400_aborts_and_writes_nothing(fixture_paths, tmp_path, stub_server, capsys):
+    # at --batch 1 the run needs more requests than the default 5/s bucket holds, so some wait on it
+    stub = stub_server(fail_first=10**6, status=400)
+    out = tmp_path / "out"
+    assert cli.main(translate_args(fixture_paths, out, backend=stub.url, parallel=3, batch=1,
+                                   **{"on-backend-error": "strict"})) == 4
+    assert "HTTP 400" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_translate_batch_and_parallel_do_not_change_output(fixture_paths, tmp_path):
@@ -700,12 +715,16 @@ def test_stats_requires_input():
 
 
 def test_python_m_transproj_runs_the_cli():
-    done = subprocess.run(
-        [sys.executable, "-m", "transproj", "validate", "tests/data/fixture_train.conll"],
-        cwd=Path(__file__).resolve().parent.parent, env={**os.environ, "PYTHONPATH": "src"},
-        capture_output=True, text=True, timeout=60,
-    )
-    assert done.returncode == 0, done.stderr
+    commands = [[sys.executable, "-m", "transproj"]]
+    if script := shutil.which("transproj"):  # the console script, where one is installed
+        commands.append([script])
+    for command in commands:
+        done = subprocess.run(
+            [*command, "validate", "tests/data/fixture_train.conll"],
+            cwd=Path(__file__).resolve().parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, (command, done.stderr)
 
 
 def test_importing_the_cli_does_not_import_requests():

@@ -791,15 +791,6 @@ def test_only_misses_reach_the_backend_and_a_failure_spares_cached_sentences(spl
         assert strict == healthy
 
 
-def test_strict_policy_stops_at_the_first_failed_request():
-    split = DatasetSplit("train", [sent([f"w{i}"], ["O"], origin=i) for i in range(40)])
-    backend = RejectsPoison(f"w{i}" for i in range(40))
-    with pytest.raises(AbortedRun):
-        project_split(split, backend, "en", "fa", batch=4, parallelism=1, on_error="strict")
-    # the one worker may take the second request before the first has failed
-    assert len(backend.calls) <= 2
-
-
 def test_strict_policy_with_one_worker_sends_one_request_before_aborting():
     split = DatasetSplit("train", [sent([f"w{i}"], ["O"], origin=i) for i in range(40)])
     backend = RejectsPoison(f"w{i}" for i in range(40))
@@ -834,6 +825,42 @@ class FirstFailsThenSlow(IdentityBackend):
 def test_strict_abort_sends_no_batch_after_the_abort(parallelism):
     backend = FirstFailsThenSlow()
     with pytest.raises(AbortedRun, match="first batch rejected"):
+        project_split(word_split(40), backend, "en", "fa", batch=1, parallelism=parallelism,
+                      on_error="strict")
+    assert backend.calls <= 2 * parallelism
+
+
+class SlowFirstSecondFails(FirstFailsThenSlow):
+    """Holds the request with ``w0`` for 200 ms, and then fails it with a
+    503 if it may be retried; raises ``error`` for the one with ``w1``."""
+
+    def __init__(self, error, retries):
+        super().__init__()
+        self.error, self.retries = error, retries
+
+    def translate(self, texts, source_lang, target_lang):
+        with self._lock:
+            self.calls += 1
+        if "w1" in texts:
+            raise self.error
+        if "w0" in texts:
+            time.sleep(0.2)
+            if self.retries:
+                raise backends.BackendTransient("HTTP 503")
+        return list(texts)
+
+
+@pytest.mark.parametrize("parallelism", [2, 4])
+@pytest.mark.parametrize("error, retries, message", [
+    # w0's retry comes after the stop, so it is not sent, and the run aborts with w1's error
+    (BackendUnavailable("HTTP 400"), 1, "HTTP 400"),
+    (backends.BackendTransient("HTTP 503"), 0, "giving up on first-fails after 1 attempts: HTTP 503"),
+], ids=["permanent", "retries-exhausted"])
+def test_a_strict_failure_stops_the_run_while_an_earlier_request_is_in_flight(parallelism, error, retries,
+                                                                              message):
+    # w1's failure stops the other workers itself: the run gets to it only after w0
+    backend = SlowFirstSecondFails(error, retries)
+    with pytest.raises(AbortedRun, match=f"^{message}$"):
         project_split(word_split(40), backend, "en", "fa", batch=1, parallelism=parallelism,
                       on_error="strict")
     assert backend.calls <= 2 * parallelism
@@ -874,46 +901,6 @@ def test_a_batch_in_retry_backoff_hands_its_slot_to_another(stub_server, monkeyp
     assert all(o.projected for o in outcomes)
 
 
-def test_a_strict_abort_stops_a_batch_in_retry_backoff(monkeypatch):
-    """w0's batch is rejected for good once w1's has had a 503, and w1's
-    backoff lasts until the abort shuts the pool down."""
-    had_503, aborted = threading.Event(), threading.Event()
-    posts = []  # (texts, whether the run had aborted) per POST
-
-    class Answer:
-        def __init__(self, status, texts):
-            self.status_code, self._texts = status, texts
-
-        def json(self):
-            return {"translations": self._texts}
-
-    class Session:
-        def post(self, url, json=None, headers=None, timeout=None):
-            texts = json["texts"]
-            posts.append((texts, aborted.is_set()))
-            if texts == ["w1"]:
-                status = 200 if had_503.is_set() else 503
-                had_503.set()
-                return Answer(status, texts)
-            had_503.wait(5)
-            return Answer(400, texts)
-
-    class ShutdownMarksAbort(ThreadPoolExecutor):
-        def shutdown(self, *args, **kwargs):
-            aborted.set()
-            super().shutdown(*args, **kwargs)
-
-    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", ShutdownMarksAbort)
-    backoffs = []
-    monkeypatch.setattr(time, "sleep", lambda seconds: backoffs.append(aborted.wait(5)))
-    backend = HttpBackend("http://example.invalid/t", session=Session(), rate=None, retries=3)
-    with pytest.raises(AbortedRun, match="HTTP 400"):
-        project_split(word_split(2), backend, "en", "fa", batch=1, parallelism=2, on_error="strict")
-    assert backoffs == [True]
-    assert [texts for texts, after_abort in posts if after_abort] == []
-    assert sorted(texts for texts, _ in posts) == [["w0"], ["w1"]]
-
-
 class Answer:
     """What a fake session's POST returns: a status, and the texts as the translations."""
 
@@ -934,6 +921,34 @@ def pool_marking_shutdown(event):
             super().shutdown(*args, **kwargs)
 
     return Pool
+
+
+def test_a_strict_abort_stops_a_batch_in_retry_backoff(monkeypatch):
+    """w0's batch is rejected for good once w1's has had a 503, and w1's
+    backoff lasts until the abort shuts the pool down."""
+    had_503, aborted = threading.Event(), threading.Event()
+    posts = []  # (texts, whether the run had aborted) per POST
+
+    class Session:
+        def post(self, url, json=None, headers=None, timeout=None):
+            texts = json["texts"]
+            posts.append((texts, aborted.is_set()))
+            if texts == ["w1"]:
+                status = 200 if had_503.is_set() else 503
+                had_503.set()
+                return Answer(status, texts)
+            had_503.wait(5)
+            return Answer(400, texts)
+
+    monkeypatch.setattr(pipeline, "ThreadPoolExecutor", pool_marking_shutdown(aborted))
+    backoffs = []
+    monkeypatch.setattr(time, "sleep", lambda seconds: backoffs.append(aborted.wait(5)))
+    backend = HttpBackend("http://example.invalid/t", session=Session(), rate=None, retries=3)
+    with pytest.raises(AbortedRun, match="HTTP 400"):
+        project_split(word_split(2), backend, "en", "fa", batch=1, parallelism=2, on_error="strict")
+    assert backoffs == [True]
+    assert [texts for texts, after_abort in posts if after_abort] == []
+    assert sorted(texts for texts, _ in posts) == [["w0"], ["w1"]]
 
 
 @pytest.mark.parametrize("parallelism", [2, 3])
