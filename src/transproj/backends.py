@@ -223,8 +223,9 @@ class HttpBackend(Backend):
     in clear. A URL that is not a full, parseable ``http(s)://host/path``
     URL raises ValueError, as do a ``retries`` that is not an ``int`` >= 0
     (a ``bool`` is not one), a ``rate`` (``None`` or 0: no limit) or
-    ``backoff_base`` that is negative, NaN or infinite, and a ``timeout``
-    that is not finite and > 0.
+    ``backoff_base`` that is negative, NaN or infinite, a ``timeout`` that
+    is not > 0, and a ``timeout`` or ``1 / rate`` above
+    ``threading.TIMEOUT_MAX``: waits the platform cannot make.
     """
 
     def __init__(
@@ -238,11 +239,11 @@ class HttpBackend(Backend):
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
-        inf = float("inf")  # NaN fails every comparison, so each test below rejects it
-        if not (type(retries) is int and retries >= 0 and 0 <= (rate or 0) < inf and 0 <= backoff_base < inf
-                and 0 < timeout < inf):
+        inf, most = float("inf"), threading.TIMEOUT_MAX  # NaN fails every comparison, so each test rejects it
+        if not (type(retries) is int and retries >= 0 and (not rate or 1 / most <= rate < inf)
+                and 0 <= backoff_base < inf and 0 < timeout <= most):
             raise ValueError("http backend needs retries, rate and backoff_base >= 0 and timeout > 0, "
-                             "all finite, and retries an int")
+                             "all finite, retries an int, and timeout and 1 / rate <= threading.TIMEOUT_MAX")
         try:
             parts = urlsplit(url)
             parts.port  # raises on a port that is not a number in 0-65535
@@ -405,6 +406,9 @@ class TranslationCache:
 
     def lookup(self, text: str) -> str | None:
         return self._index.get(text)
+
+    def __getitem__(self, text: str) -> str:  # a stored translation, read back without a lookup
+        return self._index[text]
 
     def store(self, text: str, translation: str) -> None:
         if self._fh is None:

@@ -145,6 +145,9 @@ def _effective_config(args) -> dict:
             raise ConfigError(f"--{key} is required")
     if cfg["src"] == cfg["tgt"]:
         raise ConfigError("source and target language codes must differ")
+    for key in ("src", "tgt"):  # a non-UTF-8 byte in argv, or "\udcff" in a config file, is a lone surrogate
+        if any("\ud800" <= c <= "\udfff" for c in cfg[key]):
+            raise ConfigError(f"--{key} must be valid UTF-8, got {cfg[key]!r}")
     if not any(cfg[f"input-{s}"] for s in stats.SPLIT_ORDER):
         raise ConfigError("at least one of --input-train/--input-dev/--input-test is required")
     return cfg
@@ -233,33 +236,30 @@ def cmd_translate(args) -> int:
         cache_entries_loaded=cache.entries_loaded,
         cache_corrupt_lines=cache.corrupt_lines,
     )
-    exclusion_records = []
     out_dir = cfg["out"]
     # outputs are renamed into place only once every split has finished
     staged: list[str] = []
     try:
         # inside the try, so the cache is closed when --out cannot be made
         os.makedirs(out_dir, exist_ok=True)
-        # each parsed split is let go once it is projected, and each projected
-        # sentence once it is written
-        for name in list(splits):
-            outcomes = pipeline.stream_split(
-                splits.pop(name),
-                backend,
-                cfg["src"],
-                cfg["tgt"],
-                report,
-                parallelism=cfg["parallel"],
-                batch=cfg["batch"],
-                cache=cache,
-                on_error=cfg["on-backend-error"],
-            )
-            staged.append(os.path.join(out_dir, f"{name}.conll"))
-            _write_split(staged[-1] + ".tmp", name, outcomes, exclusion_records)
+        staged = [os.path.join(out_dir, f"{name}.conll") for name in splits]
         staged.append(os.path.join(out_dir, "exclusions.jsonl"))
-        with open(staged[-1] + ".tmp", "w", encoding="utf-8") as fh:
-            for record in exclusion_records:
-                fh.write(json.dumps(record, ensure_ascii=False) + "\n")
+        # each parsed split is let go once it is projected, and each projected
+        # sentence and exclusion once it is written
+        with open(staged[-1] + ".tmp", "w", encoding="utf-8") as exclusions:
+            for name, path in zip(list(splits), staged):
+                outcomes = pipeline.stream_split(
+                    splits.pop(name),
+                    backend,
+                    cfg["src"],
+                    cfg["tgt"],
+                    report,
+                    parallelism=cfg["parallel"],
+                    batch=cfg["batch"],
+                    cache=cache,
+                    on_error=cfg["on-backend-error"],
+                )
+                _write_split(path + ".tmp", name, outcomes, exclusions)
         for path in staged:
             os.replace(path + ".tmp", path)
         report.duration_seconds = time.monotonic() - started
@@ -275,23 +275,23 @@ def cmd_translate(args) -> int:
     return EXIT_OK
 
 
-def _write_split(path: str, name: str, outcomes, exclusion_records: list[dict]) -> None:
-    """Write each projected sentence to ``path`` as it comes, and keep only
-    a record of each exclusion. The last outcome goes with this frame, so
-    the next split starts holding none of this one."""
+def _write_split(path: str, name: str, outcomes, exclusions) -> None:
+    """Write each projected sentence to ``path`` and each exclusion's record
+    to the open file ``exclusions`` as it comes, then flush. The last outcome
+    goes with this frame, so the next split starts holding none of this one."""
     with open(path, "w", encoding="utf-8") as fh:
         for outcome in outcomes:
             if outcome.projected:
                 fh.write(conll_io.serialize_sentence(outcome.sentence))
             else:
-                exclusion_records.append(
-                    {
-                        "origin_index": outcome.origin_index,
-                        "split": name,
-                        "reason": outcome.reason,
-                        "detail": outcome.detail,
-                    }
-                )
+                record = {
+                    "origin_index": outcome.origin_index,
+                    "split": name,
+                    "reason": outcome.reason,
+                    "detail": outcome.detail,
+                }
+                exclusions.write(json.dumps(record, ensure_ascii=False) + "\n")
+    exclusions.flush()
 
 
 def _write_json(path: str, doc: dict) -> None:

@@ -11,7 +11,7 @@ into an exclusion with a machine-readable reason instead of an error.
 ``stream_split`` is the one projection loop. It masks a whole split and
 translates its unique texts before the first outcome, then finishes and
 yields one sentence at a time, so a caller that writes each projected
-sentence out holds only the split's masked texts and the translations.
+sentence out holds only the split's masked texts and the cache's translations.
 ``project_split`` collects its outcomes into lists.
 """
 
@@ -222,7 +222,8 @@ def project_split(
     when every split shares ``cache``, and looked up in ``cache`` once each.
     ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
-    any lookup or request. Only the misses are sent, ``batch`` at a time:
+    any lookup or request. Without one, the split opens an in-memory cache
+    of its own. Only the misses are sent, ``batch`` at a time:
     one batch is one request plus its retries, each attempt one
     ``backend.translate`` call, so a failed request excludes only sentences
     that need one of its texts. A batch whose call raises
@@ -285,7 +286,9 @@ def stream_split(
     if on_error not in POLICIES:
         raise ValueError(f"on_error must be {' or '.join(POLICIES)}, got {on_error!r}")
     scope = (backend.backend_id, source_lang, target_lang)
-    if cache is not None and cache.scope != scope:
+    if cache is None:
+        cache = TranslationCache(None, scope)
+    elif cache.scope != scope:
         raise ValueError(f"cache scope {cache.scope!r} is not this run's {scope!r}")
 
     # a tuple of texts per sentence: lists held this long raised conll_dict peak RSS ~2.7%
@@ -299,15 +302,8 @@ def stream_split(
             unique.update(dict.fromkeys(texts))
         prepared.append((sentence, masked, texts))
 
-    translations: dict[str, str] = {}
-    misses: list[str] = []
-    for text in unique:
-        cached = None if cache is None else cache.lookup(text)
-        if cached is None:
-            misses.append(text)
-        else:
-            translations[text] = cached
-    report.counters.cache_hits += len(translations)
+    misses = [text for text in unique if cache.lookup(text) is None]
+    report.counters.cache_hits += len(unique) - len(misses)
     batches = [misses[i:i + batch] for i in range(0, len(misses), batch)]
     failures: dict[str, str] = {}
     slots = threading.BoundedSemaphore(parallelism)
@@ -350,10 +346,8 @@ def stream_split(
             if result is not None:
                 report.counters.backend_calls += 1
                 report.counters.texts_translated += len(texts)
-                translations.update(zip(texts, result))
-                if cache is not None:
-                    for text, out in zip(texts, result):
-                        cache.store(text, out)
+                for text, out in zip(texts, result):
+                    cache.store(text, out)
             elif error is None:
                 continue  # not sent: a strict failure later in request order stopped the run
             elif on_error == POLICY_STRICT:
@@ -374,7 +368,7 @@ def stream_split(
             outcome = ProjectionOutcome(sentence.origin_index, reason=REASON_BACKEND_FAILURE,
                                         detail=failures[failed])
         else:
-            outcome = _finish(sentence, masked, [translations[t] for t in texts], projected)
+            outcome = _finish(sentence, masked, [cache[t] for t in texts], projected)
         if outcome.projected:
             projected += 1
         else:

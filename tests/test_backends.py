@@ -4,6 +4,7 @@ import json
 import os
 import re
 import tempfile
+import threading
 import time
 import types
 from unittest import mock
@@ -699,12 +700,20 @@ NOT_FINITE = [(name, value) for name in ("rate", "backoff_base", "timeout") for 
     {"retries": -1}, {"rate": -1}, {"backoff_base": -0.5}, {"timeout": 0}, {"timeout": -1},
     *({name: float(value)} for name, value in NOT_FINITE),
     {"retries": 1.5}, {"retries": float("inf")}, {"retries": True},
+    # waits the platform cannot make: each raised OverflowError, in a request or a limiter wait
+    {"timeout": 1e10}, {"rate": 1e-300},
 ], ids=["retries", "rate", "backoff_base", "zero-timeout", "negative-timeout",
         *(f"{name}-{value}" for name, value in NOT_FINITE),
-        "retries-1.5", "retries-inf", "retries-True"])
+        "retries-1.5", "retries-inf", "retries-True", "timeout-above-TIMEOUT_MAX", "rate-below-1/TIMEOUT_MAX"])
 def test_http_backend_rejects_a_setting_out_of_range(setting):
     with pytest.raises(ValueError, match="http backend needs retries, rate and backoff_base >= 0"):
         HttpBackend("http://example.invalid/t", **setting)
+
+
+def test_http_backend_accepts_the_longest_waits_the_platform_can_make():
+    most = threading.TIMEOUT_MAX
+    backend = HttpBackend("http://example.invalid/t", timeout=most, rate=1 / most)
+    assert backend.timeout == most and backend.limiter.rate == 1 / most
 
 
 def test_one_http_translate_call_is_one_post_and_a_5xx_raises_transient(stub_server):

@@ -311,6 +311,28 @@ def test_translate_without_input_is_a_config_error(tmp_path, capsys):
     assert "at least one of --input-train/--input-dev/--input-test is required" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["src", "tgt"])
+def test_a_language_code_with_no_utf8_form_is_a_config_error(fixture_paths, tmp_path, key):
+    # a non-UTF-8 byte in argv decodes to a lone surrogate, as "\udcff" in a
+    # config file does; the cache file and the report cannot hold one
+    out, cache, report = tmp_path / "out", tmp_path / "memory.jsonl", tmp_path / "report.json"
+    args = translate_args(fixture_paths, out, cache=cache, report=report)
+    config_path = tmp_path / "run.json"
+    config_path.write_text(json.dumps({key: "xx\udcff"}), encoding="utf-8")
+    at = args.index(f"--{key}")
+    by_flag = [*args[:at + 1], b"xx\xff", *args[at + 2:]]
+    by_config = [*args[:at], *args[at + 2:], "--config", str(config_path)]
+    for given in (by_flag, by_config):
+        done = subprocess.run(
+            [sys.executable, "-m", "transproj", *given],
+            cwd=Path(__file__).resolve().parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+            capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == cli.EXIT_CONFIG, done.stderr
+        assert f"error: --{key} must be valid UTF-8, got 'xx\\udcff'" in done.stderr
+        assert not out.exists() and not cache.exists() and not report.exists()
+
+
 @pytest.mark.parametrize("spec,message", [
     ("dict", "dict backend needs a path"),
     ("dict:", "dict backend needs a path"),
@@ -586,6 +608,28 @@ def test_a_projected_sentence_is_let_go_once_its_split_is_written(fixture_paths,
     assert cli.main(translate_args(fixture_paths, tmp_path / "out")) == 0
     assert len(train) == len(parse_conll(read(fixture_paths["train"]), "train"))
     assert alive_at_dev and alive_at_dev[0] == []
+
+
+def test_an_exclusion_is_let_go_once_its_split_is_written(tmp_path, monkeypatch):
+    # under the generic profile, an entity that starts with I- is excluded
+    inputs = {"train": "Alice I-PER\n\nBob B-PER\n\n", "dev": "Carol B-PER\n\n"}
+    args = ["translate", "--out", str(tmp_path / "out"), "--src", "en", "--tgt", "fa", "--backend", "identity"]
+    for name, text in inputs.items():
+        (tmp_path / f"{name}.conll").write_text(text, encoding="utf-8")
+        args += [f"--input-{name}", str(tmp_path / f"{name}.conll")]
+    finish = pipeline._finish
+    at_dev = []
+
+    def watched(sentence, masked, translated, index):
+        if sentence.tokens == ["Carol"]:
+            at_dev.append(read(tmp_path / "out" / "exclusions.jsonl.tmp"))
+        return finish(sentence, masked, translated, index)
+
+    monkeypatch.setattr(pipeline, "_finish", watched)
+    assert cli.main(args) == 0
+    records = [json.loads(line) for line in read(tmp_path / "out" / "exclusions.jsonl").splitlines()]
+    assert [(r["split"], r["reason"]) for r in records] == [("train", "invalid-scheme")]
+    assert at_dev == [read(tmp_path / "out" / "exclusions.jsonl")]
 
 
 def test_normalize_profile_conll2003(tmp_path):

@@ -551,6 +551,30 @@ def test_cached_sentence_survives_a_failing_request():
     assert report.counters.cache_hits == 3
 
 
+@pytest.mark.parametrize("given", ["no-cache", "warm-cache"])
+def test_each_unique_text_is_looked_up_once(monkeypatch, given):
+    # the bench tracer counts cache hits and misses by wrapping lookup, so the
+    # finish stage must read each translation back without one
+    looked_up = Counter()
+    lookup = TranslationCache.lookup
+
+    def counted(self, text):
+        looked_up[text] += 1
+        return lookup(self, text)
+
+    monkeypatch.setattr(TranslationCache, "lookup", counted)
+    berlin = sent(["Berlin"], ["B-LOC"], origin=2)
+    cache = None
+    if given == "warm-cache":
+        cache = TranslationCache(None, (IdentityBackend.backend_id, "en", "fa"))
+        cache.store("Berlin", "Berlin")
+    out, _, report = project_split(DatasetSplit("train", [john(0), john(1), berlin]), IdentityBackend(),
+                                   "en", "fa", cache=cache)
+    assert len(out.sentences) == 3
+    assert looked_up == Counter(dict.fromkeys([*masked_texts(john()), *masked_texts(berlin)], 1))
+    assert report.counters.cache_hits == (given == "warm-cache")
+
+
 def test_split_every_projected_sentence_is_valid():
     split = fixture_split(10)
     out, _, _ = project_split(split, ScramblerBackend(0), "en", "fa")
