@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
 
-from .placeholder import find_placeholders
+from .placeholder import PLACEHOLDER_RE, find_placeholders
 
 if TYPE_CHECKING:  # only HttpBackend imports requests, so no other run pays for it
     import requests
@@ -87,7 +88,8 @@ class Backend:
     ``project_split`` makes up to ``retries + 1`` attempts at a batch whose
     call raises ``BackendTransient``, waiting ``backoff_base * 2**(n - 1)``
     seconds plus up to 25 % jitter before attempt n + 1, and takes a token
-    from ``limiter`` (a ``TokenBucket``, or None) before each attempt.
+    from ``limiter`` (a ``TokenBucket``, or None) before each attempt. The
+    longest of those waits must pass ``backoff_fits``.
     """
 
     backend_id = "abstract"
@@ -97,6 +99,15 @@ class Backend:
 
     def translate(self, texts: list[str], source_lang: str, target_lang: str) -> list[str]:
         raise NotImplementedError
+
+
+def backoff_fits(retries: int, backoff_base: float) -> bool:
+    """Whether the longest wait between attempts,
+    ``backoff_base * 2**(retries - 1)`` seconds plus 25 % jitter, is one the
+    platform can make: from 0 to ``threading.TIMEOUT_MAX``. Without retries
+    there is no wait. The bound is halved per retry instead of the wait
+    doubled, so nothing overflows."""
+    return retries < 1 or 0 <= backoff_base * 1.25 <= math.ldexp(threading.TIMEOUT_MAX, 1 - retries)
 
 
 class IdentityBackend(Backend):
@@ -112,8 +123,13 @@ class DictionaryBackend(Backend):
     """Word-by-word lookup in a TSV map; unknown words pass through.
 
     Substrings matching the tolerant placeholder grammar are never touched,
-    whatever the map contains. ``backend_id`` fingerprints the whole map,
-    though its empty key is never looked up: a word is never empty.
+    whatever the map contains. A text of words between single spaces, the
+    shape ``mask`` writes, is looked up word by word, and a word holding a
+    bracket is kept when it is a whole placeholder; any other text, or one
+    with a bracketed word that is not, is scanned for placeholders and each
+    stretch between them split on whitespace runs. Both give the same
+    translation. ``backend_id`` fingerprints the whole map, though its empty
+    key is never looked up: a word is never empty.
     """
 
     def __init__(self, mapping: dict[str, str]):
@@ -141,7 +157,20 @@ class DictionaryBackend(Backend):
         return [self._translate_text(t) for t in texts]
 
     def _translate_text(self, text: str) -> str:
-        if "[" not in text and "［" not in text:  # every placeholder starts with one
+        words = text.split()
+        if " ".join(words) == text:  # words between single spaces, as mask writes them
+            out = list(map(self._map.get, words, words))
+            if "[" in text or "［" in text:  # every placeholder starts with one
+                for k, word in enumerate(words):
+                    if "[" in word or "［" in word:
+                        if PLACEHOLDER_RE.fullmatch(word) is None:  # it may start one that spans words
+                            return self._translate_scanned(text)
+                        out[k] = word
+            return " ".join(out)
+        return self._translate_scanned(text)
+
+    def _translate_scanned(self, text: str) -> str:
+        if "[" not in text and "［" not in text:
             return self._translate_segment(text)
         out = []
         last = 0
@@ -224,8 +253,9 @@ class HttpBackend(Backend):
     URL raises ValueError, as do a ``retries`` that is not an ``int`` >= 0
     (a ``bool`` is not one), a ``rate`` (``None`` or 0: no limit) or
     ``backoff_base`` that is negative, NaN or infinite, a ``timeout`` that
-    is not > 0, and a ``timeout`` or ``1 / rate`` above
-    ``threading.TIMEOUT_MAX``: waits the platform cannot make.
+    is not > 0, and a ``timeout``, ``1 / rate`` or longest backoff (see
+    ``backoff_fits``) above ``threading.TIMEOUT_MAX``: waits the platform
+    cannot make.
     """
 
     def __init__(
@@ -241,9 +271,10 @@ class HttpBackend(Backend):
     ):
         inf, most = float("inf"), threading.TIMEOUT_MAX  # NaN fails every comparison, so each test rejects it
         if not (type(retries) is int and retries >= 0 and (not rate or 1 / most <= rate < inf)
-                and 0 <= backoff_base < inf and 0 < timeout <= most):
+                and backoff_fits(retries, backoff_base) and 0 <= backoff_base < inf and 0 < timeout <= most):
             raise ValueError("http backend needs retries, rate and backoff_base >= 0 and timeout > 0, "
-                             "all finite, retries an int, and timeout and 1 / rate <= threading.TIMEOUT_MAX")
+                             "all finite, retries an int, and timeout, 1 / rate and the longest backoff "
+                             "<= threading.TIMEOUT_MAX")
         try:
             parts = urlsplit(url)
             parts.port  # raises on a port that is not a number in 0-65535

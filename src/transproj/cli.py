@@ -145,9 +145,13 @@ def _effective_config(args) -> dict:
             raise ConfigError(f"--{key} is required")
     if cfg["src"] == cfg["tgt"]:
         raise ConfigError("source and target language codes must differ")
-    for key in ("src", "tgt"):  # a non-UTF-8 byte in argv, or "\udcff" in a config file, is a lone surrogate
-        if any("\ud800" <= c <= "\udfff" for c in cfg[key]):
-            raise ConfigError(f"--{key} must be valid UTF-8, got {cfg[key]!r}")
+    # a non-UTF-8 byte in argv, or "\udcff" in a config file, is a lone
+    # surrogate, which has no UTF-8 form: src and tgt go into the cache file,
+    # and the report echoes every setting
+    for key in SETTINGS if cfg["report"] else ("src", "tgt"):
+        if isinstance(cfg[key], str) and any("\ud800" <= c <= "\udfff" for c in cfg[key]):
+            echoed = "" if key in ("src", "tgt") else " for --report to echo it"
+            raise ConfigError(f"--{key} must be valid UTF-8{echoed}, got {cfg[key]!r}")
     if not any(cfg[f"input-{s}"] for s in stats.SPLIT_ORDER):
         raise ConfigError("at least one of --input-train/--input-dev/--input-test is required")
     return cfg

@@ -17,6 +17,7 @@ sentence out holds only the split's masked texts and the cache's translations.
 
 from __future__ import annotations
 
+import math
 import random
 import threading
 import time
@@ -33,6 +34,7 @@ from .backends import (
     BackendTransient,
     TranslationCache,
     TranslationRequest,
+    backoff_fits,
     translate_batch,
 )
 from .conll_io import DatasetSplit, InvalidSentence, TaggedSentence
@@ -222,8 +224,9 @@ def project_split(
     when every split shares ``cache``, and looked up in ``cache`` once each.
     ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
-    any lookup or request. Without one, the split opens an in-memory cache
-    of its own. Only the misses are sent, ``batch`` at a time:
+    any lookup or request, as does a backoff longer than
+    ``backends.backoff_fits`` allows. Without one, the split opens an
+    in-memory cache of its own. Only the misses are sent, ``batch`` at a time:
     one batch is one request plus its retries, each attempt one
     ``backend.translate`` call, so a failed request excludes only sentences
     that need one of its texts. A batch whose call raises
@@ -285,6 +288,9 @@ def stream_split(
         raise ValueError("batch must be >= 1")
     if on_error not in POLICIES:
         raise ValueError(f"on_error must be {' or '.join(POLICIES)}, got {on_error!r}")
+    if not backoff_fits(backend.retries, backend.backoff_base):
+        raise ValueError(f"backoff_base {backend.backoff_base!r} over {backend.retries} retries waits "
+                         "less than 0 or more than threading.TIMEOUT_MAX seconds")
     scope = (backend.backend_id, source_lang, target_lang)
     if cache is None:
         cache = TranslationCache(None, scope)
@@ -320,7 +326,7 @@ def stream_split(
         attempts = backend.retries + 1
         for attempt in range(attempts):
             if attempt:
-                delay = backend.backoff_base * 2 ** (attempt - 1)
+                delay = math.ldexp(backend.backoff_base, attempt - 1)  # backoff_base * 2**(attempt - 1)
                 time.sleep(delay * (1.0 + 0.25 * random.random()))
             with slots:
                 if backend.limiter is not None:

@@ -86,9 +86,11 @@ def find_fragment(text: str) -> re.Match | None:
 
 
 def _index(digits: str) -> int:
-    """Digits as a decimal number; past 18 digits, which fit no entity and
-    may be more than ``int`` reads, in base 16: one value per number, above
-    every shorter one's."""
+    """Digits as a decimal number; past 18 digits, leading zeros aside,
+    which fit no entity and may be more than ``int`` reads, in base 16: one
+    value per number, above every shorter one's."""
+    if len(digits) <= 18:
+        return int(digits)
     digits = digits.lstrip("0٠۰")
     return int(digits or "0") if len(digits) <= 18 else int(digits, 16)
 
@@ -158,6 +160,15 @@ def count_check(masked: MaskedSentence, translated_template: str) -> str | None:
     return None
 
 
+# label -> its shared B and I tags, so unmask parses each label's tags once
+# per process; like conll_io's tag table, it only ever holds valid tags
+_ENTITY_TAGS: dict[str, tuple[Tag, Tag]] = {}
+
+
+def _entity_tags(label: str) -> tuple[Tag, Tag]:
+    return _ENTITY_TAGS.setdefault(label, (Tag.begin(label), Tag.inside(label)))
+
+
 def unmask(
     translated_template: str,
     translated_entities: list[str],
@@ -177,7 +188,10 @@ def unmask(
     if len(translated_entities) != len(labels):
         raise ValueError(f"{len(translated_entities)} entity translations vs {len(labels)} labels")
     hits = find_placeholders(translated_template)
-    _check_indices(hits, len(translated_entities))
+    n = len(translated_entities)
+    # n hits whose indices are 0..n-1 pass every check _check_indices makes
+    if len(hits) != n or {hit.index for hit in hits} != set(range(n)):
+        _check_indices(hits, n)
     for idx, entity in enumerate(translated_entities):
         if not entity.strip():
             raise EmptyEntityTranslation(f"entity {idx} translated to whitespace")
@@ -189,11 +203,12 @@ def unmask(
     for index, start, end, _ in hits:
         words = translated_template[last:start].split()
         ent_words = translated_entities[index].split()
-        label = labels[index]
+        begin, inside = _ENTITY_TAGS.get(labels[index]) or _entity_tags(labels[index])
         tokens += words + ent_words
-        tags += [outside] * len(words) + [Tag.begin(label)] + [Tag.inside(label)] * (len(ent_words) - 1)
+        tags += [outside] * len(words) + [begin] + [inside] * (len(ent_words) - 1)
         last = end
     words = translated_template[last:].split()
     tokens += words
     tags += [outside] * len(words)
     return TaggedSentence(tokens, tags, origin_index)
+

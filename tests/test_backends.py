@@ -87,7 +87,8 @@ def reference_dictionary(mapping, text):
     return "".join([*out, word_by_word(mapping, text[last:])])
 
 
-DICT_WORDS = ["a", "b", "0", "1", "[", "*", "]", "[*", "*]", "[*0*]", "[ *1* ]", "[ * 1 * ]", "x[*2*]y", "٣"]
+DICT_WORDS = ["a", "b", "0", "1", "[", "*", "]", "[*", "*]", "[*0*]", "[ *1* ]", "[ * 1 * ]", "x[*2*]y", "٣",
+              "［*0*］", "[\u200c*0*]", "[＊۰＊]", "[*0*]]", "[foo"]
 
 
 @given(
@@ -96,6 +97,11 @@ DICT_WORDS = ["a", "b", "0", "1", "[", "*", "]", "[*", "*]", "[*0*]", "[ *1* ]",
     st.dictionaries(st.sampled_from(["", *DICT_WORDS]), st.sampled_from(["", "A", "B C", "[*9*]"])),
 )
 @example([("[ * 1 * ]", " "), ("a", "")], {"[": "A", "1": "B", "": "C"})
+# single spaces only, as mask writes: placeholder words kept whole, then a
+# bracketed word that is no placeholder sends the whole text down the scan
+@example([("a", " "), ("［*0*］", " "), ("[\u200c*0*]", " "), ("b", "")], {"a": "A", "［*0*］": "B", "b": "[*9*]"})
+@example([("[*0*]", " "), ("a", " "), ("[*0*]]", " "), ("1", "")], {"[*0*]": "A", "a": "B C", "1": "[*9*]"})
+@example([("a", " "), ("[foo", " "), ("*0*]", "")], {"a": "A", "[foo": "B"})
 def test_dictionary_matches_word_by_word_reference(parts, mapping):
     text = "".join(word + space for word, space in parts)
     assert DictionaryBackend(mapping).translate([text], "en", "fa") == [reference_dictionary(mapping, text)]
@@ -700,11 +706,14 @@ NOT_FINITE = [(name, value) for name in ("rate", "backoff_base", "timeout") for 
     {"retries": -1}, {"rate": -1}, {"backoff_base": -0.5}, {"timeout": 0}, {"timeout": -1},
     *({name: float(value)} for name, value in NOT_FINITE),
     {"retries": 1.5}, {"retries": float("inf")}, {"retries": True},
-    # waits the platform cannot make: each raised OverflowError, in a request or a limiter wait
-    {"timeout": 1e10}, {"rate": 1e-300},
+    # waits the platform cannot make: each raised OverflowError, in a request,
+    # a limiter wait or a backoff
+    {"timeout": 1e10}, {"rate": 1e-300}, {"retries": 1, "backoff_base": 1e10},
+    {"retries": 2, "backoff_base": 2.0 ** 32}, {"retries": 2000, "backoff_base": 1e-300},
 ], ids=["retries", "rate", "backoff_base", "zero-timeout", "negative-timeout",
         *(f"{name}-{value}" for name, value in NOT_FINITE),
-        "retries-1.5", "retries-inf", "retries-True", "timeout-above-TIMEOUT_MAX", "rate-below-1/TIMEOUT_MAX"])
+        "retries-1.5", "retries-inf", "retries-True", "timeout-above-TIMEOUT_MAX", "rate-below-1/TIMEOUT_MAX",
+        "backoff-above-TIMEOUT_MAX", "backoff-doubled-above-TIMEOUT_MAX", "backoff-doubled-past-float"])
 def test_http_backend_rejects_a_setting_out_of_range(setting):
     with pytest.raises(ValueError, match="http backend needs retries, rate and backoff_base >= 0"):
         HttpBackend("http://example.invalid/t", **setting)
@@ -714,6 +723,33 @@ def test_http_backend_accepts_the_longest_waits_the_platform_can_make():
     most = threading.TIMEOUT_MAX
     backend = HttpBackend("http://example.invalid/t", timeout=most, rate=1 / most)
     assert backend.timeout == most and backend.limiter.rate == 1 / most
+    # 2**32 s plus 25 % jitter is below TIMEOUT_MAX, and twice that above it
+    assert HttpBackend("http://example.invalid/t", retries=1, backoff_base=2.0 ** 32).backoff_base == 2.0 ** 32
+    # no wait at all, however many retries
+    assert HttpBackend("http://example.invalid/t", retries=2000, backoff_base=0.0).retries == 2000
+
+
+def test_a_backoff_the_platform_cannot_wait_is_rejected_before_any_request():
+    backend = RecordingBackend()
+    backend.retries, backend.backoff_base = 1, 1e10
+    with pytest.raises(ValueError, match="more than threading.TIMEOUT_MAX"):
+        project_split(split_of("x"), backend, "en", "fa")
+    assert backend.calls == []
+
+
+def test_a_zero_backoff_takes_any_number_of_retries():
+    class FailsUntilTheLastAttempt(RecordingBackend):
+        retries = 2000
+
+        def translate(self, texts, source_lang, target_lang):
+            super().translate(texts, source_lang, target_lang)
+            if len(self.calls) <= self.retries:
+                raise BackendTransient("HTTP 503")
+            return list(texts)
+
+    backend = FailsUntilTheLastAttempt()
+    _, outcomes, _ = project_split(split_of("x"), backend, "en", "fa")
+    assert outcomes[0].projected and len(backend.calls) == 2001
 
 
 def test_one_http_translate_call_is_one_post_and_a_5xx_raises_transient(stub_server):

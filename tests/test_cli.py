@@ -333,6 +333,29 @@ def test_a_language_code_with_no_utf8_form_is_a_config_error(fixture_paths, tmp_
         assert not out.exists() and not cache.exists() and not report.exists()
 
 
+@pytest.mark.parametrize("key", ["report", "out"])
+def test_a_setting_the_report_cannot_echo_is_a_config_error(fixture_paths, tmp_path, monkeypatch, capsys, key):
+    # the report echoes every setting, so a path with a byte that is not
+    # UTF-8 (a lone surrogate once decoded) fails the run before it starts
+    sent = []
+
+    class Recording(backends.IdentityBackend):
+        def translate(self, texts, source_lang, target_lang):
+            sent.extend(texts)
+            return list(texts)
+
+    monkeypatch.setattr(cli, "_make_backend", lambda spec: Recording())
+    paths = {"out": tmp_path / "out", "cache": tmp_path / "memory.jsonl", "report": tmp_path / "report.json"}
+    paths[key] = tmp_path / os.fsdecode(b"x\xff")
+    args = translate_args(fixture_paths, paths["out"], cache=paths["cache"], report=paths["report"])
+    assert cli.main(args) == cli.EXIT_CONFIG
+    assert f"error: --{key} must be valid UTF-8 for --report to echo it" in capsys.readouterr().err
+    assert sent == [] and os.listdir(tmp_path) == []
+    # without --report, nothing echoes the path
+    at = args.index("--report")
+    assert cli.main(args[:at] + args[at + 2:]) == cli.EXIT_OK and sent
+
+
 @pytest.mark.parametrize("spec,message", [
     ("dict", "dict backend needs a path"),
     ("dict:", "dict backend needs a path"),

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from transproj.conll_io import InvalidSentence, validate_scheme
+from transproj.conll_io import InvalidSentence, Tag, validate_scheme
 from transproj.placeholder import (
     PLACEHOLDER_FRAGMENT_RE,
     REASON_COUNT_MISMATCH,
@@ -421,6 +421,12 @@ def test_unmask_matches_pad_join_split_reference(case, origin):
 @given(st.lists(st.one_of(tolerant_placeholders(5), SAFE_WORD), max_size=6), st.lists(st.booleans(), max_size=4))
 @example(["[*1*]", "[*1*]"], [False])
 @example(["hello"], [True])
+# as many hits as entities, but not the indices 0..n-1
+@example(["[*0*]", "[*0*]"], [False, False])
+@example(["[*0*]", "[*2*]"], [False, False])
+# 19 digits: past a single int() read
+@example(["[*0000000000000000000*]"], [False])
+@example(["[*1000000000000000000*]"], [False])
 def test_count_check_and_unmask_apply_one_index_rule(pieces, blank):
     """count_check's reason is exactly the index exception unmask raises,
     whatever the entities hold."""
@@ -436,3 +442,11 @@ def test_count_check_and_unmask_apply_one_index_rule(pieces, blank):
     reason = {None: None, DuplicateIndex: REASON_DUPLICATE,
               UnknownIndex: REASON_COUNT_MISMATCH, MissingIndex: REASON_COUNT_MISMATCH}[raised]
     assert count_check(masked(len(entities)), template) == reason
+
+
+def test_unmask_tags_are_the_shared_parsed_tags():
+    # twice: once filling the label's entry, once reading it
+    for _ in range(2):
+        out = unmask("[*0*] in [*1*]", ["New York", "Berlin"], ["LOC", "UNMASKED"])
+        assert [t.raw for t in out.tags] == ["B-LOC", "I-LOC", "O", "B-UNMASKED"]
+        assert all(t is Tag.parse(t.raw) for t in out.tags)
