@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
 
-from .placeholder import PLACEHOLDER_RE, find_placeholders
+from .placeholder import find_placeholders
 
 if TYPE_CHECKING:  # only HttpBackend imports requests, so no other run pays for it
     import requests
@@ -123,13 +123,14 @@ class DictionaryBackend(Backend):
     """Word-by-word lookup in a TSV map; unknown words pass through.
 
     Substrings matching the tolerant placeholder grammar are never touched,
-    whatever the map contains. A text of words between single spaces, the
-    shape ``mask`` writes, is looked up word by word, and a word holding a
-    bracket is kept when it is a whole placeholder; any other text, or one
-    with a bracketed word that is not, is scanned for placeholders and each
-    stretch between them split on whitespace runs. Both give the same
-    translation. ``backend_id`` fingerprints the whole map, though its empty
-    key is never looked up: a word is never empty.
+    whatever the map contains. A text holding a bracket is scanned for
+    placeholders once. A text of words between single spaces, the shape
+    ``mask`` writes, whose placeholders are whole words, is looked up word
+    by word with its placeholders kept; in any other text, each stretch
+    between placeholders is split on whitespace runs. Both give the same
+    translation.
+    ``backend_id`` fingerprints the whole map, though its empty key is never
+    looked up: a word is never empty.
     """
 
     def __init__(self, mapping: dict[str, str]):
@@ -157,24 +158,20 @@ class DictionaryBackend(Backend):
         return [self._translate_text(t) for t in texts]
 
     def _translate_text(self, text: str) -> str:
+        hits = find_placeholders(text) if "[" in text or "［" in text else ()  # every placeholder starts with one
         words = text.split()
         if " ".join(words) == text:  # words between single spaces, as mask writes them
             out = list(map(self._map.get, words, words))
-            if "[" in text or "［" in text:  # every placeholder starts with one
-                for k, word in enumerate(words):
-                    if "[" in word or "［" in word:
-                        if PLACEHOLDER_RE.fullmatch(word) is None:  # it may start one that spans words
-                            return self._translate_scanned(text)
-                        out[k] = word
-            return " ".join(out)
-        return self._translate_scanned(text)
-
-    def _translate_scanned(self, text: str) -> str:
-        if "[" not in text and "［" not in text:
-            return self._translate_segment(text)
+            for _, start, _, found in hits:
+                k = text.count(" ", 0, start)  # the word the placeholder starts in
+                if words[k] != found:  # it starts or ends inside a word
+                    break
+                out[k] = found
+            else:
+                return " ".join(out)
         out = []
         last = 0
-        for _, start, end, found in find_placeholders(text):
+        for _, start, end, found in hits:
             out.append(self._translate_segment(text[last:start]))
             out.append(found)
             last = end

@@ -10,6 +10,7 @@ is replaced by the separately translated entity with matching index.
 
 from __future__ import annotations
 
+import functools
 import re
 from typing import NamedTuple
 
@@ -160,13 +161,11 @@ def count_check(masked: MaskedSentence, translated_template: str) -> str | None:
     return None
 
 
-# label -> its shared B and I tags, so unmask parses each label's tags once
-# per process; like conll_io's tag table, it only ever holds valid tags
-_ENTITY_TAGS: dict[str, tuple[Tag, Tag]] = {}
-
-
+@functools.cache
 def _entity_tags(label: str) -> tuple[Tag, Tag]:
-    return _ENTITY_TAGS.setdefault(label, (Tag.begin(label), Tag.inside(label)))
+    """``label``'s B and I tags: the shared objects ``Tag.begin`` and
+    ``Tag.inside`` return, made once per label and process."""
+    return Tag.begin(label), Tag.inside(label)
 
 
 def unmask(
@@ -203,7 +202,7 @@ def unmask(
     for index, start, end, _ in hits:
         words = translated_template[last:start].split()
         ent_words = translated_entities[index].split()
-        begin, inside = _ENTITY_TAGS.get(labels[index]) or _entity_tags(labels[index])
+        begin, inside = _entity_tags(labels[index])
         tokens += words + ent_words
         tags += [outside] * len(words) + [begin] + [inside] * (len(ent_words) - 1)
         last = end
@@ -211,4 +210,3 @@ def unmask(
     tokens += words
     tags += [outside] * len(words)
     return TaggedSentence(tokens, tags, origin_index)
-

@@ -97,11 +97,14 @@ DICT_WORDS = ["a", "b", "0", "1", "[", "*", "]", "[*", "*]", "[*0*]", "[ *1* ]",
     st.dictionaries(st.sampled_from(["", *DICT_WORDS]), st.sampled_from(["", "A", "B C", "[*9*]"])),
 )
 @example([("[ * 1 * ]", " "), ("a", "")], {"[": "A", "1": "B", "": "C"})
-# single spaces only, as mask writes: placeholder words kept whole, then a
-# bracketed word that is no placeholder sends the whole text down the scan
+# single spaces only, as mask writes: whole-word placeholders kept and
+# bracketed words that are none looked up by the word path, then a
+# placeholder inside a word sending the text down the segment path (as the
+# first example's placeholder spanning words does)
 @example([("a", " "), ("［*0*］", " "), ("[\u200c*0*]", " "), ("b", "")], {"a": "A", "［*0*］": "B", "b": "[*9*]"})
 @example([("[*0*]", " "), ("a", " "), ("[*0*]]", " "), ("1", "")], {"[*0*]": "A", "a": "B C", "1": "[*9*]"})
 @example([("a", " "), ("[foo", " "), ("*0*]", "")], {"a": "A", "[foo": "B"})
+@example([("a", " "), ("x[*2*]y", "")], {"a": "A", "x": "B", "x[*2*]y": "C"})
 def test_dictionary_matches_word_by_word_reference(parts, mapping):
     text = "".join(word + space for word, space in parts)
     assert DictionaryBackend(mapping).translate([text], "en", "fa") == [reference_dictionary(mapping, text)]
