@@ -130,13 +130,28 @@ class DictionaryBackend(Backend):
     between placeholders is split on whitespace runs. Both give the same
     translation.
     ``backend_id`` fingerprints the whole map, though its empty key is never
-    looked up: a word is never empty.
+    looked up: a word is never empty. It is the SHA-256 of the UTF-8 bytes
+    of ``json.dumps(sorted(mapping.items()), ensure_ascii=False)``, fed to
+    the hash ``_SLICE`` sorted keys at a time, so neither that text nor the
+    sorted item list is ever built whole.
     """
+
+    # Sorted keys encoded per slice; small enough that a slice's JSON stays
+    # a small share of the map itself.
+    _SLICE = 1024
 
     def __init__(self, mapping: dict[str, str]):
         self._map = dict(mapping)
-        blob = json.dumps(sorted(self._map.items()), ensure_ascii=False).encode("utf-8")
-        self.backend_id = f"dict:{hashlib.sha256(blob).hexdigest()[:12]}"
+        keys = sorted(self._map)
+        digest = hashlib.sha256(b"[")
+        for start in range(0, len(keys), self._SLICE):
+            if start:
+                digest.update(b", ")
+            part = [(key, self._map[key]) for key in keys[start:start + self._SLICE]]
+            # the slice's items as json.dumps writes them inside the whole list
+            digest.update(json.dumps(part, ensure_ascii=False)[1:-1].encode("utf-8"))
+        digest.update(b"]")
+        self.backend_id = f"dict:{digest.hexdigest()[:12]}"
         self._map.pop("", None)  # counted in the fingerprint, but an empty part must stay empty
 
     @classmethod

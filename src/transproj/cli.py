@@ -241,15 +241,18 @@ def cmd_translate(args) -> int:
         cache_corrupt_lines=cache.corrupt_lines,
     )
     out_dir = cfg["out"]
-    # outputs are renamed into place only once every split has finished
+    # outputs and the report are renamed into place only once every split has finished
     staged: list[str] = []
+    lock = None
     try:
         # inside the try, so the cache is closed when --out cannot be made
         os.makedirs(out_dir, exist_ok=True)
+        # before any .tmp is named, so a run refused here removes none of another's
+        lock = _lock_dir(out_dir)
         staged = [os.path.join(out_dir, f"{name}.conll") for name in splits]
         staged.append(os.path.join(out_dir, "exclusions.jsonl"))
-        # each parsed split is let go once it is projected, and each projected
-        # sentence and exclusion once it is written
+        # each parsed split is handed over and let go once it is masked, and
+        # each projected sentence and exclusion once it is written
         with open(staged[-1] + ".tmp", "w", encoding="utf-8") as exclusions:
             for name, path in zip(list(splits), staged):
                 outcomes = pipeline.stream_split(
@@ -264,19 +267,41 @@ def cmd_translate(args) -> int:
                     on_error=cfg["on-backend-error"],
                 )
                 _write_split(path + ".tmp", name, outcomes, exclusions)
+        report.duration_seconds = time.monotonic() - started
+        if cfg["report"]:
+            staged.append(cfg["report"])
+            _write_json(cfg["report"] + ".tmp", report.to_dict())
         for path in staged:
             os.replace(path + ".tmp", path)
-        report.duration_seconds = time.monotonic() - started
     finally:
         cache.close()
         for path in staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path + ".tmp")
+        if lock is not None:
+            os.close(lock)
 
     sys.stdout.write(report.render())
-    if cfg["report"]:
-        _write_json(cfg["report"], report.to_dict())
     return EXIT_OK
+
+
+def _lock_dir(path: str) -> int | None:
+    """An open descriptor of the directory ``path`` holding an exclusive
+    advisory lock, which closing it releases; raises OSError if another run
+    holds it. None without ``fcntl``: non-POSIX runs proceed unlocked."""
+    try:
+        import fcntl
+    except ImportError:
+        return None
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        os.close(fd)
+        if isinstance(exc, BlockingIOError):  # EAGAIN: another process holds the lock
+            raise OSError(f"another run is writing to {path}") from None
+        raise
+    return fd
 
 
 def _write_split(path: str, name: str, outcomes, exclusions) -> None:

@@ -12,6 +12,8 @@ into an exclusion with a machine-readable reason instead of an error.
 translates its unique texts before the first outcome, then finishes and
 yields one sentence at a time, so a caller that writes each projected
 sentence out holds only the split's masked texts and the cache's translations.
+It keeps no parsed sentence once all are masked, so a caller that hands
+the split over also lets its parsed sentences go before the first request.
 ``project_split`` collects its outcomes into lists.
 """
 
@@ -160,16 +162,36 @@ def _prepare(sentence: TaggedSentence) -> MaskedSentence | ProjectionOutcome:
         return ProjectionOutcome(origin, reason=REASON_PATTERN_COLLISION, detail=str(exc))
 
 
-def _finish(
-    sentence: TaggedSentence, masked: MaskedSentence, translated: list[str], index: int
-) -> ProjectionOutcome:
-    """Stages after translation; translated is [template] + entity surfaces,
+def _prepare_split(
+    sentences: list[TaggedSentence],
+) -> tuple[list[tuple[int, tuple[str, ...] | ProjectionOutcome, tuple[str, ...]]], dict[str, None]]:
+    """Mask every sentence: one ``(origin_index, labels, texts)`` record per
+    sentence, with texts its template and entity surfaces, or ``(origin_index,
+    outcome, ())`` for one excluded before translation; and the unique texts
+    in first-seen order. No record holds the sentence, its masked form or
+    its spans, so those go once the caller lets the split go."""
+    # tuples, not lists: lists held this long raised conll_dict peak RSS ~2.7%
+    prepared = []
+    unique: dict[str, None] = {}
+    for sentence in sentences:
+        masked = _prepare(sentence)
+        if isinstance(masked, ProjectionOutcome):
+            prepared.append((masked.origin_index, masked, ()))
+            continue
+        texts = (masked.template, *(span.surface for span in masked.entities))
+        unique.update(dict.fromkeys(texts))
+        prepared.append((sentence.origin_index, tuple(span.label for span in masked.entities), texts))
+    return prepared, unique
+
+
+def _finish(origin: int, labels: tuple[str, ...], translated: list[str], index: int) -> ProjectionOutcome:
+    """Stages after translation for the source sentence at ``origin``, whose
+    entities carry ``labels``; translated is [template] + entity surfaces,
     and ``index`` is the projected sentence's position in the projected split."""
-    origin = sentence.origin_index
     template = translated[0]
     entities = translated[1:]
     try:
-        out = ph.unmask(template, entities, [e.label for e in masked.entities], index)
+        out = ph.unmask(template, entities, labels, index)
     except ph.DuplicateIndex:
         return ProjectionOutcome(origin, reason=REASON_DUPLICATE, detail=template)
     except (ph.UnknownIndex, ph.MissingIndex):
@@ -219,9 +241,11 @@ def project_split(
     sentence in source order, and the split's report.
 
     This is :func:`stream_split` run to the end, so it holds every outcome
-    at once; the CLI streams instead. Unique texts are collected across the
-    split, so each is translated at most once per split, or once per run
-    when every split shares ``cache``, and looked up in ``cache`` once each.
+    at once; the CLI streams instead. ``split`` is left as it was, and the
+    caller's reference keeps its parsed sentences. Unique texts are
+    collected across the split, so each is translated at most once per
+    split, or once per run when every split shares ``cache``, and looked up
+    in ``cache`` once each.
     ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
     any lookup or request, as does a backoff longer than
@@ -274,10 +298,15 @@ def stream_split(
     Nothing runs until the first outcome is asked for. Then every sentence
     is masked, every unique text looked up, and every miss sent and stored
     (a bad setting raises ValueError, and a strict abort raises AbortedRun,
-    before any outcome). Each outcome is finished only when it is asked
-    for, and a projected sentence is numbered by its place among the
-    projected ones, so a caller that writes each one out and lets it go
-    never holds the projected split. The tallies are added into
+    before any outcome). Once every sentence is masked, the generator keeps
+    of each only its origin index, its entity labels and its texts, or its
+    exclusion, and no reference to ``split`` or its sentence list: a caller
+    that hands the split over and keeps no reference, as the CLI does, has
+    every parsed ``TaggedSentence``, ``MaskedSentence`` and ``EntitySpan``
+    of it freed before the first request. Each outcome is finished only
+    when it is asked for, and a projected sentence is numbered by its place
+    among the projected ones, so a caller that writes each one out and lets
+    it go never holds the projected split. The tallies are added into
     ``report``, which may be a whole run's: the cache hits and backend
     counts before the first outcome, each exclusion's reason as it is
     yielded, and the split's counts once the last has been yielded.
@@ -297,16 +326,10 @@ def stream_split(
     elif cache.scope != scope:
         raise ValueError(f"cache scope {cache.scope!r} is not this run's {scope!r}")
 
-    # a tuple of texts per sentence: lists held this long raised conll_dict peak RSS ~2.7%
-    prepared: list[tuple[TaggedSentence, MaskedSentence | ProjectionOutcome, tuple[str, ...]]] = []
-    unique: dict[str, None] = {}
-    for sentence in split.sentences:
-        masked = _prepare(sentence)
-        texts = ()
-        if isinstance(masked, MaskedSentence):
-            texts = (masked.template, *(span.surface for span in masked.entities))
-            unique.update(dict.fromkeys(texts))
-        prepared.append((sentence, masked, texts))
+    name, total, dropped_empty = split.name, len(split.sentences), split.dropped_empty
+    prepared, unique = _prepare_split(split.sentences)
+    # the split's last reference, when the caller handed it over, as the CLI does
+    del split
 
     misses = [text for text in unique if cache.lookup(text) is None]
     report.counters.cache_hits += len(unique) - len(misses)
@@ -366,24 +389,24 @@ def stream_split(
             pool.shutdown(cancel_futures=True)
 
     projected = 0
-    for sentence, masked, texts in prepared:
+    for origin, labels, texts in prepared:
         failed = next((t for t in texts if t in failures), None) if failures else None
-        if isinstance(masked, ProjectionOutcome):
-            outcome = masked
+        if isinstance(labels, ProjectionOutcome):
+            outcome = labels
         elif failed is not None:
-            outcome = ProjectionOutcome(sentence.origin_index, reason=REASON_BACKEND_FAILURE,
-                                        detail=failures[failed])
+            outcome = ProjectionOutcome(origin, reason=REASON_BACKEND_FAILURE, detail=failures[failed])
         else:
-            outcome = _finish(sentence, masked, [cache[t] for t in texts], projected)
+            outcome = _finish(origin, labels, [cache[t] for t in texts], projected)
         if outcome.projected:
             projected += 1
         else:
             report.reasons[outcome.reason] += 1
         yield outcome
 
-    report.splits[split.name] = SplitCounts(
-        total=len(split.sentences),
+    report.splits[name] = SplitCounts(
+        total=total,
         projected=projected,
-        excluded=len(prepared) - projected,
-        dropped_empty=split.dropped_empty,
+        excluded=total - projected,
+        dropped_empty=dropped_empty,
     )
+

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import re
+from collections.abc import Sequence
 from typing import NamedTuple
 
 from .conll_io import Tag, TaggedSentence
@@ -24,16 +25,16 @@ REASON_DUPLICATE = "duplicate-placeholder"
 # A placeholder is "[" or "［", a star, 1+ digits, a star, then "]" or "］".
 # A star is "*", "＊" or "٭"; digits may be ASCII, Arabic-Indic
 # (U+0660-0669) or Extended Arabic-Indic (U+06F0-06F9); whitespace or
-# invisible format characters (soft hyphen, bidi marks and embeddings,
-# zero-width characters, BOM) may stand between the parts. A fragment is
-# what an engine may leave of a placeholder it mangled: a bracket then a
-# star, a star then a bracket, or digits between two stars, so every
-# fragment holds a star. Placeholder syntax is reserved: a source whose
+# invisible format characters (soft hyphen, bidi marks, embeddings and
+# isolates, zero-width characters, BOM) may stand between the parts. A
+# fragment is what an engine may leave of a placeholder it mangled: a
+# bracket then a star, a star then a bracket, or digits between two stars,
+# so every fragment holds a star. Placeholder syntax is reserved: a source whose
 # joined tokens hold a fragment collides, and a fragment in a projected
 # sentence leaked from the translation.
 _DIGITS = "0-9٠-٩۰-۹"
 _STARS = "*＊٭"
-_GAP = r"[\s\u00ad\u061c\u200b-\u200f\u202a-\u202e\u2060-\u2064\ufeff]*"
+_GAP = r"[\s\u00ad\u061c\u200b-\u200f\u202a-\u202e\u2060-\u2064\u2066-\u2069\ufeff]*"
 PLACEHOLDER_RE = re.compile(rf"[\[［]{_GAP}[{_STARS}]{_GAP}([{_DIGITS}]+){_GAP}[{_STARS}]{_GAP}[\]］]")
 PLACEHOLDER_FRAGMENT_RE = re.compile(
     rf"[\[［]{_GAP}[{_STARS}]|[{_STARS}]{_GAP}[\]］]|[{_STARS}]{_GAP}[{_DIGITS}]+{_GAP}[{_STARS}]"
@@ -171,7 +172,7 @@ def _entity_tags(label: str) -> tuple[Tag, Tag]:
 def unmask(
     translated_template: str,
     translated_entities: list[str],
-    labels: list[str],
+    labels: Sequence[str],
     origin_index: int = 0,
 ) -> TaggedSentence:
     """Insert translated entities back into a translated template.

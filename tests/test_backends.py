@@ -139,6 +139,22 @@ def test_dictionary_backend_id_fingerprints_the_whole_map_and_never_looks_up_an_
     assert backend.translate([" a  b ", "[*0*] a"], "en", "fa") == [" A  b ", "[*0*] A"]
 
 
+# quotes, backslashes and control characters take JSON escapes; the rest are
+# written as they are under ensure_ascii=False, non-BMP characters as 4 UTF-8 bytes
+FINGERPRINT_TEXT = st.text(st.sampled_from('"\\\x00\x1f\x7f\n\t a\u00e9\u0645\u2028\U0001f600\U00010000'),
+                           max_size=4) | st.text(max_size=4)
+
+
+@given(st.dictionaries(st.just("") | FINGERPRINT_TEXT, FINGERPRINT_TEXT, max_size=6))
+@example({})
+def test_dictionary_backend_id_is_the_hash_of_its_sorted_items_as_json_at_any_slice_size(mapping):
+    blob = json.dumps(sorted(mapping.items()), ensure_ascii=False).encode("utf-8")
+    expected = "dict:" + hashlib.sha256(blob).hexdigest()[:12]
+    for size in (1, 2, DictionaryBackend._SLICE):
+        with mock.patch.object(DictionaryBackend, "_SLICE", size):
+            assert DictionaryBackend(mapping).backend_id == expected
+
+
 def test_scrambler_reverses_with_seed_zero():
     backend = ScramblerBackend(0)
     assert backend.translate(["[*0*] x [*1*]"], "en", "fa") == ["[*1*] x [*0*]"]

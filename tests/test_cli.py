@@ -544,6 +544,36 @@ def test_a_strict_http_400_aborts_and_writes_nothing(fixture_paths, tmp_path, st
     assert list(out.iterdir()) == []
 
 
+def test_a_run_into_an_out_another_run_holds_exits_5_and_leaves_it_as_it_was(fixture_paths, tmp_path, capsys):
+    fcntl = pytest.importorskip("fcntl")
+    out, report = tmp_path / "out", tmp_path / "report.json"
+    out.mkdir()
+    # what the run holding the lock may have renamed and staged so far
+    (out / "train.conll").write_text("earlier\n", encoding="utf-8")
+    (out / "train.conll.tmp").write_text("in progress\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    held = os.open(out, os.O_RDONLY)
+    try:
+        fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert cli.main(translate_args(fixture_paths, out, report=report)) == cli.EXIT_IO
+    finally:
+        os.close(held)
+    assert f"i/o error: another run is writing to {out}" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert not report.exists()
+    # once the lock is let go, a run goes through
+    assert cli.main(translate_args(fixture_paths, out, report=report)) == cli.EXIT_OK
+    assert sorted(path.name for path in out.iterdir()) == [
+        "dev.conll", "exclusions.jsonl", "test.conll", "train.conll"]
+
+
+def test_a_report_that_cannot_be_written_renames_no_output_into_place(fixture_paths, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(translate_args(fixture_paths, out, report=tmp_path / "missing" / "report.json")) == cli.EXIT_IO
+    assert "i/o error:" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_translate_batch_and_parallel_do_not_change_output(fixture_paths, tmp_path):
     cli.main(translate_args(fixture_paths, tmp_path / "a", backend="scramble:2"))
     cli.main(translate_args(fixture_paths, tmp_path / "b", backend="scramble:2",
@@ -619,8 +649,8 @@ def test_a_projected_sentence_is_let_go_once_its_split_is_written(fixture_paths,
     train: list[weakref.ref] = []
     alive_at_dev = []
 
-    def watched(sentence, masked, translated, index):
-        outcome = finish(sentence, masked, translated, index)
+    def watched(origin, labels, translated, index):
+        outcome = finish(origin, labels, translated, index)
         if index == 0 and train:  # the identity backend projects every sentence
             alive_at_dev.append([ref() for ref in train if ref() is not None])
         elif not alive_at_dev:
@@ -643,10 +673,10 @@ def test_an_exclusion_is_let_go_once_its_split_is_written(tmp_path, monkeypatch)
     finish = pipeline._finish
     at_dev = []
 
-    def watched(sentence, masked, translated, index):
-        if sentence.tokens == ["Carol"]:
+    def watched(origin, labels, translated, index):
+        if translated == ["[*0*]", "Carol"]:  # the identity backend's translation of the dev sentence
             at_dev.append(read(tmp_path / "out" / "exclusions.jsonl.tmp"))
-        return finish(sentence, masked, translated, index)
+        return finish(origin, labels, translated, index)
 
     monkeypatch.setattr(pipeline, "_finish", watched)
     assert cli.main(args) == 0

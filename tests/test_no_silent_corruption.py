@@ -32,7 +32,8 @@ LABELS = ["PER", "LOC"]
 # what the dictionary edit translates; other words pass through
 DICTIONARY = {"John": "جان", "Berlin": "برلین", "lives": "زندگی", "in": "در"}
 LOCAL_DIGITS = str.maketrans("0123456789", "۰۱۲۳۴۵۶۷۸۹")
-FORMAT_CHARS = ["\u200c", "\u200f", "\ufeff"]  # ZWNJ, right-to-left mark, BOM
+# ZWNJ, right-to-left mark, left-to-right isolate, pop directional isolate, BOM
+FORMAT_CHARS = ["\u200c", "\u200f", "\u2066", "\u2069", "\ufeff"]
 PUNCTUATION = [".", ",", "،", "؟"]
 
 

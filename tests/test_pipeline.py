@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import re
@@ -5,6 +6,7 @@ import sys
 import tempfile
 import threading
 import time
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -241,9 +243,9 @@ def test_placeholder_residue_in_translation_is_excluded(extra, reason):
 
 
 @pytest.mark.parametrize("placeholder_0", [
-    "[*\u200c0*]", "[\u200c*0*\u200c]", "[٭0٭]", "［*0*］", "[＊۰＊]",
-], ids=["zwnj-inside", "zwnj-inside-brackets", "arabic-star", "fullwidth-brackets",
-        "fullwidth-star-persian-digit"])
+    "[*\u200c0*]", "[\u200c*0*\u200c]", "[\u2067*0*\u2069]", "[٭0٭]", "［*0*］", "[＊۰＊]",
+], ids=["zwnj-inside", "zwnj-inside-brackets", "bidi-isolates-inside-brackets", "arabic-star",
+        "fullwidth-brackets", "fullwidth-star-persian-digit"])
 def test_a_placeholder_in_any_form_the_fragment_rule_names_is_read_back(placeholder_0):
     # one grammar: what the leak rule counts as placeholder syntax reads back as a placeholder
     backend = MapTexts({"[*0*] lives": f"{placeholder_0} zendegi", "John": "jan"})
@@ -458,6 +460,30 @@ def test_projected_split_holds_the_outcomes_sentences_numbered_by_place():
         assert outcome.sentence.origin_index == j
     # the outcome itself still names the source sentence
     assert [o.origin_index for o in kept] == [0, 2, 3]
+
+
+def test_a_split_handed_to_stream_split_is_let_go_once_its_sentences_are_masked():
+    def handed_over():
+        # projected, excluded before translation (a collision, an I- start) and after it
+        return DatasetSplit("train", [
+            john(0), sent(["x", "[*0*]"], ["O", "O"], origin=1), sent(["Bo"], ["I-PER"], origin=2),
+            sent(["Ann", "runs"], ["B-PER", "O"], origin=3), john(4),
+        ])
+
+    backend = MapTexts({"[*0*] runs": "runs"})
+    _, expected, expected_report = project_split(handed_over(), backend, "en", "fa")
+    split = handed_over()
+    parsed = [weakref.ref(sentence) for sentence in split.sentences]
+    report = pipeline.RunReport()
+    outcomes = pipeline.stream_split(split, backend, "en", "fa", report)
+    del split
+    first = next(outcomes)
+    gc.collect()
+    assert [ref() for ref in parsed if ref() is not None] == []
+    assert [first, *outcomes] == expected
+    assert [o.reason for o in expected] == [None, REASON_PATTERN_COLLISION, REASON_INVALID_SCHEME,
+                                            REASON_COUNT_MISMATCH, None]
+    assert (report.splits, report.reasons) == (expected_report.splits, expected_report.reasons)
 
 
 class RecordsThread(IdentityBackend):
@@ -730,7 +756,7 @@ def test_finish_matches_public_stage_reference(s, data):
         assume(False)
     texts = [masked.template] + [e.surface for e in masked.entities]
     translated = [apply_edit(t, data.draw(st.one_of(EDITS, st.just(" ")))) for t in texts]
-    outcome = pipeline._finish(s, masked, translated, s.origin_index)
+    outcome = pipeline._finish(s.origin_index, tuple(e.label for e in masked.entities), translated, s.origin_index)
     assert (outcome.reason, outcome.detail, outcome.sentence) == reference_finish(s, masked, translated)
 
 
