@@ -22,6 +22,7 @@ import os
 import re
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 from urllib.parse import urlsplit, urlunsplit
@@ -140,8 +141,8 @@ class DictionaryBackend(Backend):
     # a small share of the map itself.
     _SLICE = 1024
 
-    def __init__(self, mapping: dict[str, str]):
-        self._map = dict(mapping)
+    def __init__(self, mapping: dict[str, str] | Iterable[tuple[str, str]]):
+        self._map = dict(mapping)  # a caller's dict is copied, never changed
         keys = sorted(self._map)
         digest = hashlib.sha256(b"[")
         for start in range(0, len(keys), self._SLICE):
@@ -156,18 +157,18 @@ class DictionaryBackend(Backend):
 
     @classmethod
     def from_file(cls, path: str) -> "DictionaryBackend":
-        mapping = {}
-        # utf-8-sig: a byte order mark must not become part of the first source word
-        with open(path, encoding="utf-8-sig") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                if "\t" not in line:
-                    raise ValueError(f"{path}:{line_no}: expected 'source<TAB>target'")
-                src, tgt = line.split("\t", 1)
-                mapping[src] = tgt
-        return cls(mapping)
+        def pairs():
+            # utf-8-sig: a byte order mark must not become part of the first source word
+            with open(path, encoding="utf-8-sig") as fh:
+                for line_no, line in enumerate(fh, start=1):
+                    line = line.rstrip("\n")
+                    if not line:
+                        continue
+                    if "\t" not in line:
+                        raise ValueError(f"{path}:{line_no}: expected 'source<TAB>target'")
+                    yield line.split("\t", 1)
+        # the pairs go straight into the one table __init__ builds
+        return cls(pairs())
 
     def translate(self, texts, source_lang, target_lang):
         return [self._translate_text(t) for t in texts]
@@ -349,7 +350,8 @@ class TranslationCache:
     Lines of other scopes are still checked, so ``corrupt_lines`` covers
     all scopes. ``entries_loaded`` is the number of entries indexed from
     the file. Lookups are lock-free, appends go through a single writer
-    lock. An advisory flock keeps concurrent runs off the same file.
+    lock. An advisory flock keeps concurrent runs off the same file: a lock
+    another run holds raises CacheLocked, any other lock failure its OSError.
 
     With ``path=None`` the cache lives in memory only: no file, no lock,
     and ``store`` only updates the index.
@@ -380,9 +382,11 @@ class TranslationCache:
 
             try:
                 fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError:
+            except OSError as exc:
                 self._fh.close()
-                raise CacheLocked(f"another run holds {path}")
+                if isinstance(exc, BlockingIOError):  # EAGAIN: another process holds the lock
+                    raise CacheLocked(f"another run holds {path}") from None
+                raise
         except ImportError:  # non-POSIX: proceed unlocked
             pass
         self._load()

@@ -40,7 +40,6 @@ from .backends import (
     translate_batch,
 )
 from .conll_io import DatasetSplit, InvalidSentence, TaggedSentence
-from .placeholder import MaskedSentence
 from .spans import InvalidScheme
 
 REASON_PATTERN_COLLISION = "pattern-collision"
@@ -151,17 +150,6 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _prepare(sentence: TaggedSentence) -> MaskedSentence | ProjectionOutcome:
-    """Stages before translation: the masked sentence, or the outcome that excludes it."""
-    origin = sentence.origin_index
-    try:
-        return ph.mask(sentence)
-    except InvalidScheme as exc:
-        return ProjectionOutcome(origin, reason=REASON_INVALID_SCHEME, detail=exc.violations[0].message)
-    except ph.PatternCollision as exc:
-        return ProjectionOutcome(origin, reason=REASON_PATTERN_COLLISION, detail=str(exc))
-
-
 def _prepare_split(
     sentences: list[TaggedSentence],
 ) -> tuple[list[tuple[int, tuple[str, ...] | ProjectionOutcome, tuple[str, ...]]], dict[str, None]]:
@@ -174,13 +162,19 @@ def _prepare_split(
     prepared = []
     unique: dict[str, None] = {}
     for sentence in sentences:
-        masked = _prepare(sentence)
-        if isinstance(masked, ProjectionOutcome):
-            prepared.append((masked.origin_index, masked, ()))
+        origin = sentence.origin_index
+        try:
+            masked = ph.mask(sentence)
+        except InvalidScheme as exc:
+            excluded = ProjectionOutcome(origin, reason=REASON_INVALID_SCHEME, detail=exc.violations[0].message)
+        except ph.PatternCollision as exc:
+            excluded = ProjectionOutcome(origin, reason=REASON_PATTERN_COLLISION, detail=str(exc))
+        else:
+            texts = (masked.template, *(span.surface for span in masked.entities))
+            unique.update(dict.fromkeys(texts))
+            prepared.append((origin, tuple(span.label for span in masked.entities), texts))
             continue
-        texts = (masked.template, *(span.surface for span in masked.entities))
-        unique.update(dict.fromkeys(texts))
-        prepared.append((sentence.origin_index, tuple(span.label for span in masked.entities), texts))
+        prepared.append((origin, excluded, ()))
     return prepared, unique
 
 
@@ -192,10 +186,8 @@ def _finish(origin: int, labels: tuple[str, ...], translated: list[str], index: 
     entities = translated[1:]
     try:
         out = ph.unmask(template, entities, labels, index)
-    except ph.DuplicateIndex:
-        return ProjectionOutcome(origin, reason=REASON_DUPLICATE, detail=template)
-    except (ph.UnknownIndex, ph.MissingIndex):
-        return ProjectionOutcome(origin, reason=REASON_COUNT_MISMATCH, detail=template)
+    except ph.IndexMismatch as exc:
+        return ProjectionOutcome(origin, reason=exc.reason, detail=template)
     except ph.EmptyEntityTranslation as exc:
         return ProjectionOutcome(origin, reason=REASON_EMPTY_ENTITY, detail=str(exc))
     except InvalidSentence as exc:

@@ -45,15 +45,22 @@ class PatternCollision(ValueError):
     pass
 
 
-class UnknownIndex(ValueError):
+class IndexMismatch(ValueError):
+    """Translated placeholder indices are not 0..n-1 once each; ``reason``
+    is the exclusion reason the fault gives."""
+
+    reason = REASON_COUNT_MISMATCH
+
+
+class UnknownIndex(IndexMismatch):
     pass
 
 
-class DuplicateIndex(ValueError):
-    pass
+class DuplicateIndex(IndexMismatch):
+    reason = REASON_DUPLICATE
 
 
-class MissingIndex(ValueError):
+class MissingIndex(IndexMismatch):
     pass
 
 
@@ -155,10 +162,8 @@ def count_check(masked: MaskedSentence, translated_template: str) -> str | None:
     """
     try:
         _check_indices(find_placeholders(translated_template), len(masked.entities))
-    except DuplicateIndex:
-        return REASON_DUPLICATE
-    except (UnknownIndex, MissingIndex):
-        return REASON_COUNT_MISMATCH
+    except IndexMismatch as exc:
+        return exc.reason
     return None
 
 
@@ -188,10 +193,7 @@ def unmask(
     if len(translated_entities) != len(labels):
         raise ValueError(f"{len(translated_entities)} entity translations vs {len(labels)} labels")
     hits = find_placeholders(translated_template)
-    n = len(translated_entities)
-    # n hits whose indices are 0..n-1 pass every check _check_indices makes
-    if len(hits) != n or {hit.index for hit in hits} != set(range(n)):
-        _check_indices(hits, n)
+    _check_indices(hits, len(translated_entities))
     for idx, entity in enumerate(translated_entities):
         if not entity.strip():
             raise EmptyEntityTranslation(f"entity {idx} translated to whitespace")

@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import io
 import json
@@ -327,6 +328,28 @@ def test_cache_advisory_lock(tmp_path):
             TranslationCache(path, G)
     # released on close
     TranslationCache(path, G).close()
+
+
+def test_a_cache_lock_that_fails_for_another_reason_raises_that_error_and_closes_the_file(
+        tmp_path, monkeypatch):
+    """A file system without flock support is not another run holding the cache."""
+    fcntl = pytest.importorskip("fcntl")
+
+    def no_locks(fd, operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(fcntl, "flock", no_locks)
+    monkeypatch.setattr(backends, "open", recording_open, raising=False)
+    with pytest.raises(OSError) as exc:
+        TranslationCache(str(tmp_path / "c.jsonl"), G)
+    assert exc.value.errno == errno.ENOLCK
+    assert len(opened) == 1 and opened[0].closed
 
 
 def test_cache_keys_distinguish_dictionaries(tmp_path):

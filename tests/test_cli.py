@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -565,6 +566,23 @@ def test_a_run_into_an_out_another_run_holds_exits_5_and_leaves_it_as_it_was(fix
     assert cli.main(translate_args(fixture_paths, out, report=report)) == cli.EXIT_OK
     assert sorted(path.name for path in out.iterdir()) == [
         "dev.conll", "exclusions.jsonl", "test.conll", "train.conll"]
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["out-lock", "cache-lock"])
+def test_a_lock_that_fails_for_another_reason_exits_5_naming_that_error(
+        fixture_paths, tmp_path, monkeypatch, capsys, cached):
+    """Without flock support, neither the --out lock nor the cache's is reported as held by another run."""
+    fcntl = pytest.importorskip("fcntl")
+
+    def no_locks(fd, operation):
+        raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
+
+    monkeypatch.setattr(fcntl, "flock", no_locks)
+    extra = {"cache": tmp_path / "cache.jsonl"} if cached else {}
+    assert cli.main(translate_args(fixture_paths, tmp_path / "out", **extra)) == cli.EXIT_IO
+    err = capsys.readouterr().err
+    assert f"i/o error: [Errno {errno.ENOLCK}] {os.strerror(errno.ENOLCK)}" in err
+    assert "another run" not in err
 
 
 def test_a_report_that_cannot_be_written_renames_no_output_into_place(fixture_paths, tmp_path, capsys):

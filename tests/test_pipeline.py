@@ -1003,9 +1003,10 @@ def test_a_strict_abort_stops_a_batch_in_retry_backoff(monkeypatch):
 
 @pytest.mark.parametrize("parallelism", [2, 3])
 def test_a_strict_abort_ends_a_wait_on_the_rate_limiter_and_sends_nothing_more(monkeypatch, parallelism):
-    """At 5 requests a second the bucket starts with five tokens, so the
-    sixth request waits 200 ms for one. w0's 400 comes after 50 ms; the abort
-    must end that wait, and no POST may start after it."""
+    """The bucket starts with five tokens and refills one every 2 s, so the
+    sixth request waits 2 s for one. w0's 400 comes after 50 ms; the abort
+    must end that wait, in less than half of it however busy the host is,
+    and no POST may start after it."""
     aborted = threading.Event()
     posts = []  # whether the run had aborted, per POST
 
@@ -1018,12 +1019,13 @@ def test_a_strict_abort_ends_a_wait_on_the_rate_limiter_and_sends_nothing_more(m
             return Answer(200, json["texts"])
 
     monkeypatch.setattr(pipeline, "ThreadPoolExecutor", pool_marking_shutdown(aborted))
-    backend = HttpBackend("http://example.invalid/t", session=Session(), rate=5.0, retries=0)
+    backend = HttpBackend("http://example.invalid/t", session=Session(), retries=0)
+    backend.limiter = backends.TokenBucket(rate=0.5, capacity=5)
     started = time.monotonic()
     with pytest.raises(AbortedRun, match="HTTP 400"):
         project_split(word_split(12), backend, "en", "fa", batch=1, parallelism=parallelism,
                       on_error="strict")
-    assert time.monotonic() - started < 0.2
+    assert time.monotonic() - started < 1.0
     assert 2 <= len(posts) <= 5 and True not in posts
 
 

@@ -1,10 +1,14 @@
+import unicodedata
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from transproj.backends import DictionaryBackend
 from transproj.conll_io import InvalidSentence, Tag, validate_scheme
 from transproj.placeholder import (
     PLACEHOLDER_FRAGMENT_RE,
+    PLACEHOLDER_RE,
     REASON_COUNT_MISMATCH,
     REASON_DUPLICATE,
     DuplicateIndex,
@@ -14,6 +18,7 @@ from transproj.placeholder import (
     PatternCollision,
     UnknownIndex,
     count_check,
+    find_fragment,
     find_placeholders,
     mask,
     unmask,
@@ -108,6 +113,26 @@ def test_unmask_names_an_index_too_long_for_int_by_its_text():
     with pytest.raises(DuplicateIndex) as exc:
         unmask(f"[*0*] {long} {long}", ["a"], ["PER"])
     assert len(str(exc.value)) < 100
+
+
+def test_the_hand_written_prechecks_admit_every_bracket_star_and_zero_of_the_grammar():
+    """Three fast paths repeat part of the grammar by hand: the dictionary
+    backend scans only a text holding an opening bracket, find_fragment
+    searches only a text holding a star, and _index strips only the zeros
+    it names. A character the grammar admits and a precheck misses fails
+    here: a placeholder then reaches the dictionary, a fragment is missed,
+    or 21 digits "0...010" read as hex 16 instead of 10."""
+    for code in range(0x10000):
+        if 0xD800 <= code <= 0xDFFF:
+            continue
+        c = chr(code)
+        if PLACEHOLDER_RE.fullmatch(c + "*0*]"):
+            text = "a " + c + "*0*]"
+            assert DictionaryBackend({c + "*0*]": "Y"}).translate([text], "en", "fa") == [text], hex(code)
+        if PLACEHOLDER_FRAGMENT_RE.fullmatch("[" + c):
+            assert find_fragment("[" + c) is not None, hex(code)
+        if unicodedata.decimal(c, None) == 0 and PLACEHOLDER_RE.fullmatch(f"[*{c}*]"):
+            assert find_placeholders(f"[*{c * 19}10*]")[0].index == 10, hex(code)
 
 
 # --- unmask ----------------------------------------------------------------
