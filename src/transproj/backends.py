@@ -29,7 +29,7 @@ from urllib.parse import urlsplit, urlunsplit
 
 from .placeholder import find_placeholders
 
-if TYPE_CHECKING:  # only HttpBackend imports requests, so no other run pays for it
+if TYPE_CHECKING:  # only HttpBackend's default session imports requests, so no other run pays for it
     import requests
 
 log = logging.getLogger(__name__)
@@ -86,6 +86,8 @@ class TranslationRequest:
 class Backend:
     """Batch translation contract: len(out) == len(texts), order preserved.
 
+    A failure another attempt may get past raises ``BackendTransient``, such
+    as an OSError from ``HttpBackend``'s session; any other, a ``BackendError``.
     ``project_split`` makes up to ``retries + 1`` attempts at a batch whose
     call raises ``BackendTransient``, waiting ``backoff_base * 2**(n - 1)``
     seconds plus up to 25 % jitter before attempt n + 1, and takes a token
@@ -256,8 +258,13 @@ class HttpBackend(Backend):
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
     [...]}`` in input order. One ``translate`` call is one request, sent at
     once: ``project_split(batch=...)`` batches, retries and paces it by
-    ``limiter``. A transport error or a 5xx answer raises
-    ``BackendTransient``, any other status but 200 ``BackendUnavailable``.
+    ``limiter``. The request goes through ``session``: any object whose
+    ``post(url, json=, headers=, timeout=)`` returns a response with
+    ``status_code`` and ``json()``, and raises an OSError when the transport
+    fails. Without one, a ``requests.Session`` is made, the only place
+    ``requests`` is imported; its ``RequestException`` is an OSError. An
+    OSError or a 5xx answer raises ``BackendTransient``, any other status
+    but 200 ``BackendUnavailable``.
     ``backend_id`` is the URL without userinfo, query or fragment, followed
     by ``?`` and 12 hex digits of the SHA-256 of the query when there is
     one: two URLs share cache entries only when they differ in nothing but
@@ -304,30 +311,27 @@ class HttpBackend(Backend):
         self.timeout = timeout
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
-        import requests
+        if session is None:
+            import requests
 
-        self._session = session or requests.Session()
+            session = requests.Session()
+        self._session = session
         self.limiter = TokenBucket(rate) if rate else None
 
     def translate(self, texts, source_lang, target_lang):
         if not texts:
             return []
-        import requests
-
         payload = {"texts": list(texts), "source": source_lang, "target": target_lang}
         # error texts name the endpoint by backend_id and a transport error
         # by its class: the URL and the exception text may hold credentials
         try:
             resp = self._session.post(self.url, json=payload, headers=self._headers, timeout=self.timeout)
-        except requests.RequestException as exc:
+        except OSError as exc:  # requests.RequestException is one
             raise BackendTransient(type(exc).__name__) from None
         if resp.status_code >= 500:
             raise BackendTransient(f"HTTP {resp.status_code}")
         if resp.status_code != 200:
             raise BackendUnavailable(f"HTTP {resp.status_code} from {self.backend_id}")
-        return self._parse_response(resp, len(texts))
-
-    def _parse_response(self, resp, expected: int):
         try:
             body = resp.json()
         except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -335,7 +339,7 @@ class HttpBackend(Backend):
         translations = body.get("translations") if isinstance(body, dict) else None
         if not isinstance(translations, list):
             raise BackendProtocol('response lacks a "translations" list')
-        return _checked_answer(translations, expected)
+        return _checked_answer(translations, len(texts))
 
 
 class TranslationCache:

@@ -214,19 +214,50 @@ def _read_text(path: str) -> str:
             raise conll_io.ConllError(f"{path}: not valid UTF-8 ({exc})")
 
 
+def _check_outputs_apart(outputs: dict[str, str | None], others: dict[str, str | None]) -> None:
+    """Raise ConfigError if a file one of ``outputs`` writes is one of
+    ``others``, the files the command reads or writes besides, or another of
+    ``outputs``. Both map a name for the error text to a path, or to None or
+    "" for none. Paths compare by ``os.path.realpath``, so a relative path or
+    a symlink names the file it leads to."""
+    taken = {os.path.realpath(path): name for name, path in others.items() if path}
+    for flag, path in outputs.items():
+        if path:
+            real = os.path.realpath(path)
+            if real in taken:
+                raise ConfigError(f"{flag} {path} is the same file as {taken[real]}")
+            taken[real] = flag
+
+
 def cmd_translate(args) -> int:
     cfg = _effective_config(args)
     started = time.monotonic()
+    given = [name for name in stats.SPLIT_ORDER if cfg[f"input-{name}"]]
+    kind, _, dict_path = cfg["backend"].partition(":")
+    outputs = {f"the {name} output": os.path.join(cfg["out"], f"{name}.conll") for name in given}
+    outputs["the exclusions output"] = os.path.join(cfg["out"], "exclusions.jsonl")
+    # before any input is read or any file opened for writing; an input may
+    # still be its own output, so a split can be projected in place. Each
+    # output is first written to its ".tmp" staging file, so those count too.
+    _check_outputs_apart(
+        {"--cache": cfg["cache"], "--report": cfg["report"],
+         "--report's staging file": cfg["report"] and cfg["report"] + ".tmp"},
+        {
+            **{f"--input-{name}": cfg[f"input-{name}"] for name in given},
+            "--config": args.config,
+            "the dict: backend's file": dict_path if kind == "dict" else None,
+            **outputs,
+            **{f"{label}'s staging file": path + ".tmp" for label, path in outputs.items()},
+        },
+    )
 
     splits = {}
-    for name in stats.SPLIT_ORDER:
-        path = cfg[f"input-{name}"]
-        if path:
-            split = conll_io.parse_conll(_read_text(path), name)
-            if cfg["profile"] == "conll2003":
-                for sentence in split.sentences:
-                    conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
-            splits[name] = split
+    for name in given:
+        split = conll_io.parse_conll(_read_text(cfg[f"input-{name}"]), name)
+        if cfg["profile"] == "conll2003":
+            for sentence in split.sentences:
+                conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
+        splits[name] = split
 
     backend = _make_backend(cfg["backend"])
     if isinstance(backend, backends.HttpBackend):  # named as in exclusions.jsonl: no userinfo or query
@@ -340,6 +371,9 @@ def _corpus_stats(train: str | None, dev: str | None, test: str | None) -> dict[
 
 
 def cmd_stats(args) -> int:
+    inputs = {f"--{prefix}{name}": getattr(args, f"{prefix}{name}".replace("-", "_"))
+              for prefix in ("", "vs-") for name in stats.SPLIT_ORDER}
+    _check_outputs_apart({"--json": args.json_path}, inputs)
     corpora = [(args.name, _corpus_stats(args.train, args.dev, args.test))]
     if any((args.vs_train, args.vs_dev, args.vs_test)):
         corpora.append((args.vs_name, _corpus_stats(args.vs_train, args.vs_dev, args.vs_test)))

@@ -240,8 +240,8 @@ def project_split(
     in ``cache`` once each.
     ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
-    any lookup or request, as does a backoff longer than
-    ``backends.backoff_fits`` allows. Without one, the split opens an
+    any lookup or request, as do an empty language code and a backoff
+    longer than ``backends.backoff_fits`` allows. Without one, the split opens an
     in-memory cache of its own. Only the misses are sent, ``batch`` at a time:
     one batch is one request plus its retries, each attempt one
     ``backend.translate`` call, so a failed request excludes only sentences
@@ -309,6 +309,8 @@ def stream_split(
         raise ValueError("batch must be >= 1")
     if on_error not in POLICIES:
         raise ValueError(f"on_error must be {' or '.join(POLICIES)}, got {on_error!r}")
+    if not source_lang or not target_lang:  # also when every text is cached and no request is made
+        raise ValueError("language codes must be non-empty")
     if not backoff_fits(backend.retries, backend.backoff_base):
         raise ValueError(f"backoff_base {backend.backoff_base!r} over {backend.retries} retries waits "
                          "less than 0 or more than threading.TIMEOUT_MAX seconds")

@@ -4,10 +4,13 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 import time
 import types
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -30,7 +33,7 @@ from transproj.backends import (
     TranslationRequest,
     translate_batch,
 )
-from transproj.conll_io import DatasetSplit
+from transproj.conll_io import DatasetSplit, parse_conll
 from transproj.pipeline import REASON_BACKEND_FAILURE, AbortedRun, project_split
 from transproj.placeholder import PLACEHOLDER_RE
 
@@ -843,6 +846,43 @@ def test_http_unreachable_host():
     backend = http_backend("http://127.0.0.1:1/translate", retries=0, timeout=0.5)
     with pytest.raises(BackendUnavailable):
         backend.translate(["x"], "en", "fa")
+
+
+def test_any_oserror_a_session_raises_is_a_transport_failure_worth_its_retries(data_dir):
+    class RefusingSession:  # of no particular library: each post fails as a refused connection does
+        posts = 0
+
+        def post(self, url, json=None, headers=None, timeout=None):
+            self.posts += 1
+            raise ConnectionRefusedError(111, "Connection refused")
+
+    split = parse_conll((data_dir / "fixture_train.conll").read_text(encoding="utf-8"), "train")
+    session = RefusingSession()
+    backend = HttpBackend("http://127.0.0.1:9/translate", session=session, rate=None, retries=1, backoff_base=0)
+    out, outcomes, _ = project_split(split, backend, "en", "fa")
+    assert session.posts == backend.retries + 1
+    detail = "giving up on http:http://127.0.0.1:9/translate after 2 attempts: ConnectionRefusedError"
+    assert [(o.reason, o.detail) for o in outcomes] == [(REASON_BACKEND_FAILURE, detail)] * 8
+    assert out.sentences == []
+    with pytest.raises(AbortedRun, match=re.escape(detail)):
+        project_split(split, backend, "en", "fa", on_error="strict")
+
+
+def test_an_http_backend_given_a_session_does_not_import_requests():
+    script = "\n".join([
+        "import sys",
+        "from transproj.backends import HttpBackend",
+        "HttpBackend('http://127.0.0.1:9/translate', session=object())",
+        "print('requests' in sys.modules)",
+        "import requests",
+        "print(type(HttpBackend('http://127.0.0.1:9/translate')._session) is requests.Session)",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        cwd=Path(__file__).resolve().parent.parent, env={**os.environ, "PYTHONPATH": "src"},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, "False\nTrue\n"), done.stderr
 
 
 @pytest.mark.parametrize("url, message", [

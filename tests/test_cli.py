@@ -485,6 +485,51 @@ def test_translate_releases_the_cache_when_out_cannot_be_made(fixture_paths, tmp
     backends.TranslationCache(str(memory), ("identity", "en", "fa")).close()
 
 
+TRANSLATE_IN = ["translate", "--input-train", "in.conll", "--out", "out", "--src", "en", "--tgt", "fa"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (TRANSLATE_IN + ["--backend", "identity", "--report", "out/train.conll"], "--report"),
+    (TRANSLATE_IN + ["--backend", "identity", "--cache", "in.conll"], "--cache"),
+    (TRANSLATE_IN + ["--backend", "dict:d.tsv", "--cache", "d.tsv"], "--cache"),
+    (TRANSLATE_IN + ["--backend", "identity", "--config", "c.json"], "--cache"),
+    (["stats", "--train", "in.conll", "--json", "in.conll"], "--json"),
+    (TRANSLATE_IN + ["--backend", "identity", "--cache", "link.conll"], "--cache"),
+    (TRANSLATE_IN + ["--backend", "identity", "--cache", "out/exclusions.jsonl"], "--cache"),
+    (TRANSLATE_IN + ["--backend", "identity", "--cache", "c.jsonl", "--report", "c.jsonl"], "--report"),
+    (["stats", "--train", "in.conll", "--vs-dev", "d.tsv", "--json", "d.tsv"], "--json"),
+    (TRANSLATE_IN + ["--backend", "identity", "--report", "out/train.conll.tmp"], "--report"),
+    (TRANSLATE_IN + ["--backend", "identity", "--cache", "c.tmp", "--report", "c"], "--report's staging file"),
+], ids=["report-is-an-output", "cache-is-an-input", "cache-is-the-dictionary", "cache-is-the-config",
+        "json-is-an-input", "cache-is-an-input-through-a-symlink", "cache-is-an-output",
+        "report-is-the-cache", "json-is-a-second-corpus-input", "report-is-an-output-staging-file",
+        "report-staging-file-is-the-cache"])
+def test_an_output_that_names_a_file_the_command_reads_or_writes_is_a_config_error(
+        fixture_paths, data_dir, tmp_path, monkeypatch, capsys, argv, flag):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(fixture_paths["train"], "in.conll")
+    shutil.copy(data_dir / "dict_en_fa.tsv", "d.tsv")
+    Path("c.json").write_text('{"cache": "c.json"}', encoding="utf-8")
+    os.symlink("in.conll", "link.conll")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} ") and "is the same file as" in err, err
+    assert not Path("out").exists()
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+def test_an_input_may_still_be_projected_in_place(fixture_paths, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("out")
+    shutil.copy(fixture_paths["train"], "out/train.conll")
+    argv = ["translate", "--input-train", "out/train.conll", "--out", "out", "--src", "en", "--tgt", "fa",
+            "--backend", "scramble:0", "--cache", "c.jsonl", "--report", "r.json"]
+    code, err = run_quietly(argv)
+    assert code == 0, err
+    assert read(tmp_path / "out" / "train.conll") != read(fixture_paths["train"])
+
+
 def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, tmp_path, stub_server):
     stub = stub_server()
     backend_id = f"http:{stub.url}"

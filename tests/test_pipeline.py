@@ -550,6 +550,23 @@ def test_a_setting_below_one_is_rejected_before_any_lookup_or_request(tmp_path, 
     assert path.read_bytes() == before
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["uncached", "cached"])
+@pytest.mark.parametrize("langs", [("", "fa"), ("en", "")], ids=["source", "target"])
+def test_an_empty_language_code_is_rejected_before_any_lookup_or_request(data_dir, langs, cached):
+    split = parse_conll((data_dir / "fixture_train.conll").read_text(encoding="utf-8"), "train")
+    backend = RejectsPoison()
+    memo = TranslationCache(None, (backend.backend_id, *langs))
+    if cached:  # nothing left to send, so no TranslationRequest is ever built
+        for sentence in split.sentences:
+            for text in masked_texts(sentence):
+                memo.store(text, text)
+    lookups, lookup = [], memo.lookup
+    memo.lookup = lambda text: lookups.append(text) or lookup(text)
+    with pytest.raises(ValueError, match="language codes must be non-empty"):
+        project_split(split, backend, *langs, cache=memo)
+    assert lookups == [] and backend.calls == []
+
+
 def test_split_lenient_policy_excludes_all_affected():
     out, outcomes, report = project_split(fixture_split(2), FailingBackend(), "en", "fa")
     assert len(out) == 0
