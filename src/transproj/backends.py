@@ -68,6 +68,28 @@ class CacheLocked(RuntimeError):
     pass
 
 
+def hold_lock(open_fd, close, held: Exception) -> int | None:
+    """The descriptor ``open_fd()`` returns, holding an exclusive advisory
+    lock that closing it releases. The lock is taken without waiting: if it
+    fails, ``close(fd)`` runs, then ``held`` is raised when another process
+    holds the lock, or the OSError otherwise. Without ``fcntl``, ``open_fd``
+    is not called (``os.open`` of a directory fails on Windows) and None is
+    returned: non-POSIX runs proceed unlocked."""
+    try:
+        import fcntl
+    except ImportError:
+        return None
+    fd = open_fd()
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError as exc:
+        close(fd)
+        if isinstance(exc, BlockingIOError):  # EAGAIN: another process holds the lock
+            raise held from None
+        raise
+    return fd
+
+
 @dataclass(frozen=True)
 class TranslationRequest:
     texts: tuple[str, ...]
@@ -354,8 +376,9 @@ class TranslationCache:
     Lines of other scopes are still checked, so ``corrupt_lines`` covers
     all scopes. ``entries_loaded`` is the number of entries indexed from
     the file. Lookups are lock-free, appends go through a single writer
-    lock. An advisory flock keeps concurrent runs off the same file: a lock
-    another run holds raises CacheLocked, any other lock failure its OSError.
+    lock. An advisory flock (``hold_lock``) keeps concurrent runs off the
+    same file: a lock another run holds raises CacheLocked, any other lock
+    failure its OSError, and either closes the file first.
 
     With ``path=None`` the cache lives in memory only: no file, no lock,
     and ``store`` only updates the index.
@@ -381,18 +404,7 @@ class TranslationCache:
         if path is None:
             return
         self._fh = open(path, "a+b")
-        try:
-            import fcntl
-
-            try:
-                fcntl.flock(self._fh.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
-            except OSError as exc:
-                self._fh.close()
-                if isinstance(exc, BlockingIOError):  # EAGAIN: another process holds the lock
-                    raise CacheLocked(f"another run holds {path}") from None
-                raise
-        except ImportError:  # non-POSIX: proceed unlocked
-            pass
+        hold_lock(self._fh.fileno, lambda _: self._fh.close(), CacheLocked(f"another run holds {path}"))
         self._load()
 
     def _load(self):

@@ -172,6 +172,9 @@ def _checked(key: str, value, accepts):
         expected = {str: "a string", int: "an integer"}[accepts]
     if not ok:
         raise ConfigError(f"--{key} must be {expected}, got {value!r}")
+    # argv cannot carry one, but a config file can, and no path may hold one
+    if accepts is str and "\x00" in value:
+        raise ConfigError(f"--{key} must not hold a NUL character")
     if accepts is int and value < 1:
         raise ConfigError(f"--{key} must be >= 1")
     return value
@@ -214,19 +217,29 @@ def _read_text(path: str) -> str:
             raise conll_io.ConllError(f"{path}: not valid UTF-8 ({exc})")
 
 
+def _file_key(path: str):
+    """What names the file at ``path``: ``(st_dev, st_ino)`` if it exists,
+    so a hard link or a symlink matches the file it leads to, and
+    ``os.path.realpath`` if it does not yet."""
+    try:
+        st = os.stat(path)
+    except OSError:
+        return os.path.realpath(path)
+    return st.st_dev, st.st_ino
+
+
 def _check_outputs_apart(outputs: dict[str, str | None], others: dict[str, str | None]) -> None:
     """Raise ConfigError if a file one of ``outputs`` writes is one of
     ``others``, the files the command reads or writes besides, or another of
     ``outputs``. Both map a name for the error text to a path, or to None or
-    "" for none. Paths compare by ``os.path.realpath``, so a relative path or
-    a symlink names the file it leads to."""
-    taken = {os.path.realpath(path): name for name, path in others.items() if path}
+    "" for none. Paths compare by ``_file_key``."""
+    taken = {_file_key(path): name for name, path in others.items() if path}
     for flag, path in outputs.items():
         if path:
-            real = os.path.realpath(path)
-            if real in taken:
-                raise ConfigError(f"{flag} {path} is the same file as {taken[real]}")
-            taken[real] = flag
+            key = _file_key(path)
+            if key in taken:
+                raise ConfigError(f"{flag} {path} is the same file as {taken[key]}")
+            taken[key] = flag
 
 
 def cmd_translate(args) -> int:
@@ -262,50 +275,49 @@ def cmd_translate(args) -> int:
     backend = _make_backend(cfg["backend"])
     if isinstance(backend, backends.HttpBackend):  # named as in exclusions.jsonl: no userinfo or query
         cfg["backend"] = backend.backend_id
-    # run-wide memo even without a cache file ("" in a config file means
-    # none): a surface repeated across splits is translated only once per run
-    cache = backends.TranslationCache(cfg["cache"] or None, (backend.backend_id, cfg["src"], cfg["tgt"]))
 
-    report = pipeline.RunReport(
-        config=cfg,
-        cache_entries_loaded=cache.entries_loaded,
-        cache_corrupt_lines=cache.corrupt_lines,
-    )
     out_dir = cfg["out"]
+    os.makedirs(out_dir, exist_ok=True)
+    # before the cache opens, which may be inside --out, and before any .tmp
+    # is named, so a run refused here removes none of another's. Neither lock
+    # waits, so two runs that share a cache cannot deadlock.
+    lock = backends.hold_lock(lambda: os.open(out_dir, os.O_RDONLY), os.close,
+                              OSError(f"another run is writing to {out_dir}"))
     # outputs and the report are renamed into place only once every split has finished
     staged: list[str] = []
-    lock = None
     try:
-        # inside the try, so the cache is closed when --out cannot be made
-        os.makedirs(out_dir, exist_ok=True)
-        # before any .tmp is named, so a run refused here removes none of another's
-        lock = _lock_dir(out_dir)
-        staged = [os.path.join(out_dir, f"{name}.conll") for name in splits]
-        staged.append(os.path.join(out_dir, "exclusions.jsonl"))
-        # each parsed split is handed over and let go once it is masked, and
-        # each projected sentence and exclusion once it is written
-        with open(staged[-1] + ".tmp", "w", encoding="utf-8") as exclusions:
-            for name, path in zip(list(splits), staged):
-                outcomes = pipeline.stream_split(
-                    splits.pop(name),
-                    backend,
-                    cfg["src"],
-                    cfg["tgt"],
-                    report,
-                    parallelism=cfg["parallel"],
-                    batch=cfg["batch"],
-                    cache=cache,
-                    on_error=cfg["on-backend-error"],
-                )
-                _write_split(path + ".tmp", name, outcomes, exclusions)
-        report.duration_seconds = time.monotonic() - started
-        if cfg["report"]:
-            staged.append(cfg["report"])
-            _write_json(cfg["report"] + ".tmp", report.to_dict())
-        for path in staged:
-            os.replace(path + ".tmp", path)
+        # run-wide memo even without a cache file ("" in a config file means
+        # none): a surface repeated across splits is translated only once per run
+        with backends.TranslationCache(cfg["cache"] or None, (backend.backend_id, cfg["src"], cfg["tgt"])) as cache:
+            report = pipeline.RunReport(
+                config=cfg,
+                cache_entries_loaded=cache.entries_loaded,
+                cache_corrupt_lines=cache.corrupt_lines,
+            )
+            staged = list(outputs.values())
+            # each parsed split is handed over and let go once it is masked, and
+            # each projected sentence and exclusion once it is written
+            with open(staged[-1] + ".tmp", "w", encoding="utf-8") as exclusions:
+                for name, path in zip(list(splits), staged):
+                    outcomes = pipeline.stream_split(
+                        splits.pop(name),
+                        backend,
+                        cfg["src"],
+                        cfg["tgt"],
+                        report,
+                        parallelism=cfg["parallel"],
+                        batch=cfg["batch"],
+                        cache=cache,
+                        on_error=cfg["on-backend-error"],
+                    )
+                    _write_split(path + ".tmp", name, outcomes, exclusions)
+            report.duration_seconds = time.monotonic() - started
+            if cfg["report"]:
+                staged.append(cfg["report"])
+                _write_json(cfg["report"] + ".tmp", report.to_dict())
+            for path in staged:
+                os.replace(path + ".tmp", path)
     finally:
-        cache.close()
         for path in staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(path + ".tmp")
@@ -314,25 +326,6 @@ def cmd_translate(args) -> int:
 
     sys.stdout.write(report.render())
     return EXIT_OK
-
-
-def _lock_dir(path: str) -> int | None:
-    """An open descriptor of the directory ``path`` holding an exclusive
-    advisory lock, which closing it releases; raises OSError if another run
-    holds it. None without ``fcntl``: non-POSIX runs proceed unlocked."""
-    try:
-        import fcntl
-    except ImportError:
-        return None
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-    except OSError as exc:
-        os.close(fd)
-        if isinstance(exc, BlockingIOError):  # EAGAIN: another process holds the lock
-            raise OSError(f"another run is writing to {path}") from None
-        raise
-    return fd
 
 
 def _write_split(path: str, name: str, outcomes, exclusions) -> None:

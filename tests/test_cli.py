@@ -4,6 +4,7 @@ import io
 import json
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import time
@@ -474,6 +475,9 @@ def test_translate_report_shows_loaded_scope_and_every_corrupt_line(fixture_path
     assert "cache: 3 entries loaded, 2 corrupt lines skipped" in capsys.readouterr().out
 
 
+TRANSLATE_IN = ["translate", "--input-train", "in.conll", "--out", "out", "--src", "en", "--tgt", "fa"]
+
+
 def test_translate_releases_the_cache_when_out_cannot_be_made(fixture_paths, tmp_path, capsys):
     memory = tmp_path / "c.jsonl"
     not_a_dir = tmp_path / "out"
@@ -481,11 +485,36 @@ def test_translate_releases_the_cache_when_out_cannot_be_made(fixture_paths, tmp
     code = cli.main(translate_args(fixture_paths, not_a_dir, cache=memory))
     assert code == 5
     assert "i/o error" in capsys.readouterr().err
+    # the cache is opened only once --out is made and locked
+    assert not memory.exists()
     # the run closed the file, so its lock is free at once
     backends.TranslationCache(str(memory), ("identity", "en", "fa")).close()
 
 
-TRANSLATE_IN = ["translate", "--input-train", "in.conll", "--out", "out", "--src", "en", "--tgt", "fa"]
+def test_a_cache_inside_an_out_not_yet_made_holds_the_run_s_records(fixture_paths, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(fixture_paths["train"], "in.conll")
+    code, err = run_quietly(TRANSLATE_IN + ["--backend", "identity", "--cache", "out/memory.jsonl"])
+    assert code == 0, err
+    records = [json.loads(line) for line in read(tmp_path / "out" / "memory.jsonl").splitlines()]
+    assert records and {(r["backend_id"], r["source_lang"], r["target_lang"]) for r in records} == {
+        ("identity", "en", "fa")}
+    assert read(tmp_path / "out" / "train.conll") == read(fixture_paths["train"])
+
+
+def test_a_cache_another_run_holds_exits_5_and_leaves_an_existing_out_as_it_was(
+        fixture_paths, tmp_path, capsys):
+    fcntl = pytest.importorskip("fcntl")
+    out, memory = tmp_path / "out", tmp_path / "memory.jsonl"
+    out.mkdir()
+    (out / "train.conll").write_text("earlier\n", encoding="utf-8")
+    before = {path.name: path.read_bytes() for path in out.iterdir()}
+    with memory.open("ab") as held:
+        fcntl.flock(held.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+        assert cli.main(translate_args(fixture_paths, out, cache=memory)) == cli.EXIT_IO
+    assert f"i/o error: another run holds {memory}" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+    assert memory.read_bytes() == b""
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -500,10 +529,11 @@ TRANSLATE_IN = ["translate", "--input-train", "in.conll", "--out", "out", "--src
     (["stats", "--train", "in.conll", "--vs-dev", "d.tsv", "--json", "d.tsv"], "--json"),
     (TRANSLATE_IN + ["--backend", "identity", "--report", "out/train.conll.tmp"], "--report"),
     (TRANSLATE_IN + ["--backend", "identity", "--cache", "c.tmp", "--report", "c"], "--report's staging file"),
+    (TRANSLATE_IN + ["--backend", "identity", "--cache", "hl.conll"], "--cache"),
 ], ids=["report-is-an-output", "cache-is-an-input", "cache-is-the-dictionary", "cache-is-the-config",
         "json-is-an-input", "cache-is-an-input-through-a-symlink", "cache-is-an-output",
         "report-is-the-cache", "json-is-a-second-corpus-input", "report-is-an-output-staging-file",
-        "report-staging-file-is-the-cache"])
+        "report-staging-file-is-the-cache", "cache-is-an-input-through-a-hard-link"])
 def test_an_output_that_names_a_file_the_command_reads_or_writes_is_a_config_error(
         fixture_paths, data_dir, tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -511,11 +541,27 @@ def test_an_output_that_names_a_file_the_command_reads_or_writes_is_a_config_err
     shutil.copy(data_dir / "dict_en_fa.tsv", "d.tsv")
     Path("c.json").write_text('{"cache": "c.json"}', encoding="utf-8")
     os.symlink("in.conll", "link.conll")
+    os.link("in.conll", "hl.conll")
     before = {path: path.read_bytes() for path in tmp_path.iterdir()}
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {flag} ") and "is the same file as" in err, err
     assert not Path("out").exists()
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("key", ["cache", "out", "input-train"])
+def test_a_path_from_a_config_file_that_holds_a_nul_is_a_config_error(
+        fixture_paths, tmp_path, monkeypatch, capsys, key):
+    """argv cannot carry a NUL character, but a config file can."""
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(fixture_paths["train"], "in.conll")
+    config = {"input-train": "in.conll", "out": "out", "src": "en", "tgt": "fa", "backend": "identity",
+              "cache": "c.jsonl", key: "c\x00x"}
+    Path("c.json").write_text(json.dumps(config), encoding="utf-8")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    assert cli.main(["translate", "--config", "c.json"]) == cli.EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --{key} must not hold a NUL character\n"
     assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
 
@@ -619,7 +665,12 @@ def test_a_lock_that_fails_for_another_reason_exits_5_naming_that_error(
     """Without flock support, neither the --out lock nor the cache's is reported as held by another run."""
     fcntl = pytest.importorskip("fcntl")
 
+    flock = fcntl.flock
+
     def no_locks(fd, operation):
+        # with a cache, the --out directory still locks, so the cache's lock is the one that fails
+        if cached and stat.S_ISDIR(os.fstat(fd).st_mode):
+            return flock(fd, operation)
         raise OSError(errno.ENOLCK, os.strerror(errno.ENOLCK))
 
     monkeypatch.setattr(fcntl, "flock", no_locks)
