@@ -1,9 +1,9 @@
 """Translation backends behind one batch contract, plus the file cache.
 
 Every backend maps an ordered list of texts to an equally long list of
-translations; one ``project_split`` batch is one ``translate`` call per
+translations; one batch of a run's misses is one ``translate`` call per
 attempt. A backend raises ``BackendTransient`` for a failure worth another
-attempt; ``project_split`` makes the attempts its ``retries`` and
+attempt; ``pipeline.stream_run`` makes the attempts its ``retries`` and
 ``backoff_base`` ask for, at the rate its ``limiter`` allows. The identity,
 dictionary, and scrambler backends are deterministic stand-ins that make
 the pipeline testable offline; the HTTP backend talks to any JSON service
@@ -110,7 +110,7 @@ class Backend:
 
     A failure another attempt may get past raises ``BackendTransient``, such
     as an OSError from ``HttpBackend``'s session; any other, a ``BackendError``.
-    ``project_split`` makes up to ``retries + 1`` attempts at a batch whose
+    ``pipeline.stream_run`` makes up to ``retries + 1`` attempts at a batch whose
     call raises ``BackendTransient``, waiting ``backoff_base * 2**(n - 1)``
     seconds plus up to 25 % jitter before attempt n + 1, and takes a token
     from ``limiter`` (a ``TokenBucket``, or None) before each attempt. The
@@ -250,11 +250,20 @@ class ScramblerBackend(Backend):
 
 
 class TokenBucket:
-    """Token bucket: acquire() waits for a token and takes it, or returns False once ``stop`` is set."""
+    """Token bucket: acquire() waits for a token and takes it, or returns False once ``stop`` is set.
+
+    ``rate`` tokens come per second, up to ``capacity``. ``rate`` must be
+    finite and at least ``1 / threading.TIMEOUT_MAX``, and ``capacity`` at
+    least 1, or ValueError is raised: else ``acquire`` would never hand out
+    a token, or would ask for a wait the platform cannot make.
+    """
 
     def __init__(self, rate: float, capacity: float | None = None):
         self.rate = float(rate)
         self.capacity = float(capacity if capacity is not None else max(1.0, rate))
+        if not (1 / threading.TIMEOUT_MAX <= self.rate < math.inf and self.capacity >= 1):  # NaN fails both
+            raise ValueError(f"token bucket needs a finite rate >= 1 / threading.TIMEOUT_MAX and a capacity "
+                             f">= 1, got rate {rate!r} and capacity {capacity!r}")
         self._tokens = self.capacity
         self._last = time.monotonic()
         self._lock = threading.Lock()
@@ -279,7 +288,7 @@ class HttpBackend(Backend):
 
     POSTs ``{"texts", "source", "target"}`` and expects ``{"translations":
     [...]}`` in input order. One ``translate`` call is one request, sent at
-    once: ``project_split(batch=...)`` batches, retries and paces it by
+    once: ``pipeline.stream_run(batch=...)`` batches, retries and paces it by
     ``limiter``. The request goes through ``session``: any object whose
     ``post(url, json=, headers=, timeout=)`` returns a response with
     ``status_code`` and ``json()``, and raises an OSError when the transport
@@ -297,7 +306,9 @@ class HttpBackend(Backend):
     ``backoff_base`` that is negative, NaN or infinite, a ``timeout`` that
     is not > 0, and a ``timeout``, ``1 / rate`` or longest backoff (see
     ``backoff_fits``) above ``threading.TIMEOUT_MAX``: waits the platform
-    cannot make.
+    cannot make. So does an API key, from ``api_key`` or ``TRANSPROJ_API_KEY``,
+    that cannot be a header value: one holding CR, LF or a character outside
+    Latin-1. The error names where the key came from, never the key.
     """
 
     def __init__(
@@ -331,7 +342,11 @@ class HttpBackend(Backend):
         self.retries = retries
         self.backoff_base = backoff_base
         self.timeout = timeout
+        named = "api_key" if api_key is not None else API_KEY_ENV
         api_key = api_key if api_key is not None else os.environ.get(API_KEY_ENV)
+        # the header goes out in Latin-1, and requests refuses a CR or LF in it
+        if api_key and any(c in "\r\n" or c > "\xff" for c in api_key):
+            raise ValueError(f"{named} must hold no CR, LF or character outside Latin-1")
         self._headers = {"Authorization": f"Bearer {api_key}"} if api_key else {}
         if session is None:
             import requests

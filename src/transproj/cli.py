@@ -264,13 +264,16 @@ def cmd_translate(args) -> int:
         },
     )
 
-    splits = {}
+    # every input is read and checked before anything is written or sent,
+    # and each parsed split goes once it is masked, before the next is read
+    prepared = []
     for name in given:
         split = conll_io.parse_conll(_read_text(cfg[f"input-{name}"]), name)
         if cfg["profile"] == "conll2003":
             for sentence in split.sentences:
                 conll_io.normalize_tags_iob1_to_iob2(sentence.tags)
-        splits[name] = split
+        prepared.append(pipeline.prepare_split(split))
+        del split
 
     backend = _make_backend(cfg["backend"])
     if isinstance(backend, backends.HttpBackend):  # named as in exclusions.jsonl: no userinfo or query
@@ -295,21 +298,12 @@ def cmd_translate(args) -> int:
                 cache_corrupt_lines=cache.corrupt_lines,
             )
             staged = list(outputs.values())
-            # each parsed split is handed over and let go once it is masked, and
-            # each projected sentence and exclusion once it is written
+            run = pipeline.stream_run(prepared, backend, cfg["src"], cfg["tgt"], report,
+                                      parallelism=cfg["parallel"], batch=cfg["batch"], cache=cache,
+                                      on_error=cfg["on-backend-error"])
+            # each projected sentence and exclusion goes once it is written
             with open(staged[-1] + ".tmp", "w", encoding="utf-8") as exclusions:
-                for name, path in zip(list(splits), staged):
-                    outcomes = pipeline.stream_split(
-                        splits.pop(name),
-                        backend,
-                        cfg["src"],
-                        cfg["tgt"],
-                        report,
-                        parallelism=cfg["parallel"],
-                        batch=cfg["batch"],
-                        cache=cache,
-                        on_error=cfg["on-backend-error"],
-                    )
+                for name, path, outcomes in zip(given, staged, run):
                     _write_split(path + ".tmp", name, outcomes, exclusions)
             report.duration_seconds = time.monotonic() - started
             if cfg["report"]:
@@ -366,13 +360,20 @@ def _corpus_stats(train: str | None, dev: str | None, test: str | None) -> dict[
 def cmd_stats(args) -> int:
     inputs = {f"--{prefix}{name}": getattr(args, f"{prefix}{name}".replace("-", "_"))
               for prefix in ("", "vs-") for name in stats.SPLIT_ORDER}
-    _check_outputs_apart({"--json": args.json_path}, inputs)
+    staging = args.json_path and args.json_path + ".tmp"
+    _check_outputs_apart({"--json": args.json_path, "--json's staging file": staging}, inputs)
     corpora = [(args.name, _corpus_stats(args.train, args.dev, args.test))]
     if any((args.vs_train, args.vs_dev, args.vs_test)):
         corpora.append((args.vs_name, _corpus_stats(args.vs_train, args.vs_dev, args.vs_test)))
     sys.stdout.write(stats.render_stats_table(corpora))
     if args.json_path:
-        _write_json(args.json_path, stats.stats_report(corpora))
+        # staged, so a write that fails partway leaves the previous file whole
+        try:
+            _write_json(staging, stats.stats_report(corpora))
+            os.replace(staging, args.json_path)
+        finally:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(staging)
     return EXIT_OK
 
 

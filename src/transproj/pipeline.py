@@ -8,13 +8,14 @@ holds no placeholder fragment: placeholder syntax is reserved, so a source
 holding one is a pattern collision. Any failing stage turns the sentence
 into an exclusion with a machine-readable reason instead of an error.
 
-``stream_split`` is the one projection loop. It masks a whole split and
-translates its unique texts before the first outcome, then finishes and
+``stream_run`` is the one projection loop, and a run of splits is its unit
+of work. ``prepare_split`` masks a split and keeps of each sentence only its
+texts and labels, so a caller that lets the split go then holds no parsed
+sentence. ``stream_run`` looks up the unique texts of every split once,
+sends the misses in batches that cross split boundaries, then finishes and
 yields one sentence at a time, so a caller that writes each projected
-sentence out holds only the split's masked texts and the cache's translations.
-It keeps no parsed sentence once all are masked, so a caller that hands
-the split over also lets its parsed sentences go before the first request.
-``project_split`` collects its outcomes into lists.
+sentence out holds only the run's masked texts and the cache's translations.
+``project_split`` is a run of one split, collected into lists.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ class SplitCounts:
 
 @dataclass
 class BackendCounters:
-    """Tallies for the run report, counted by ``stream_split`` on its calling thread."""
+    """Tallies for the run report, counted by ``stream_run`` on its calling thread."""
 
     backend_calls: int = 0
     texts_translated: int = 0
@@ -106,7 +107,7 @@ class RunReport:
     splits: dict[str, SplitCounts] = field(default_factory=dict)
     reasons: Counter = field(default_factory=Counter)
     # the run's one tally of backend calls, texts translated and cache hits,
-    # which stream_split counts into
+    # which stream_run counts into
     counters: BackendCounters = field(default_factory=BackendCounters)
     # what opening the translation memory found: entries indexed for the
     # run's scope, and the skipped lines of every scope
@@ -150,18 +151,23 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-def _prepare_split(
-    sentences: list[TaggedSentence],
-) -> tuple[list[tuple[int, tuple[str, ...] | ProjectionOutcome, tuple[str, ...]]], dict[str, None]]:
-    """Mask every sentence: one ``(origin_index, labels, texts)`` record per
-    sentence, with texts its template and entity surfaces, or ``(origin_index,
-    outcome, ())`` for one excluded before translation; and the unique texts
-    in first-seen order. No record holds the sentence, its masked form or
-    its spans, so those go once the caller lets the split go."""
+class PreparedSplit(NamedTuple):
+    """A masked split: one ``(origin_index, labels, texts)`` record per
+    sentence, with texts its template and entity surfaces, or
+    ``(origin_index, outcome, ())`` for one excluded before translation."""
+
+    name: str
+    dropped_empty: int
+    records: list[tuple[int, tuple[str, ...] | ProjectionOutcome, tuple[str, ...]]]
+
+
+def prepare_split(split: DatasetSplit) -> PreparedSplit:
+    """Mask every sentence of ``split``, which is left as it was. No record
+    holds the sentence, its masked form or its spans, so those go once the
+    caller lets the split go."""
     # tuples, not lists: lists held this long raised conll_dict peak RSS ~2.7%
-    prepared = []
-    unique: dict[str, None] = {}
-    for sentence in sentences:
+    records = []
+    for sentence in split.sentences:
         origin = sentence.origin_index
         try:
             masked = ph.mask(sentence)
@@ -171,11 +177,10 @@ def _prepare_split(
             excluded = ProjectionOutcome(origin, reason=REASON_PATTERN_COLLISION, detail=str(exc))
         else:
             texts = (masked.template, *(span.surface for span in masked.entities))
-            unique.update(dict.fromkeys(texts))
-            prepared.append((origin, tuple(span.label for span in masked.entities), texts))
+            records.append((origin, tuple(span.label for span in masked.entities), texts))
             continue
-        prepared.append((origin, excluded, ()))
-    return prepared, unique
+        records.append((origin, excluded, ()))
+    return PreparedSplit(split.name, split.dropped_empty, records)
 
 
 def _finish(origin: int, labels: tuple[str, ...], translated: list[str], index: int) -> ProjectionOutcome:
@@ -232,16 +237,16 @@ def project_split(
     """Project a whole split: the projected split, one outcome per source
     sentence in source order, and the split's report.
 
-    This is :func:`stream_split` run to the end, so it holds every outcome
-    at once; the CLI streams instead. ``split`` is left as it was, and the
-    caller's reference keeps its parsed sentences. Unique texts are
-    collected across the split, so each is translated at most once per
-    split, or once per run when every split shares ``cache``, and looked up
-    in ``cache`` once each.
+    This is :func:`stream_run` over this one split, read to the end, so it
+    holds every outcome at once; the CLI streams instead. ``split`` is left
+    as it was, and the caller's reference keeps its parsed sentences. Each
+    unique text of a run is looked up in ``cache`` once and translated at
+    most once, so splits projected in turn over one shared ``cache`` send a
+    text at most once between them.
     ``cache`` must be opened for the scope ``(backend.backend_id,
     source_lang, target_lang)``; any other scope raises ValueError before
     any lookup or request, as do an empty language code and a backoff
-    longer than ``backends.backoff_fits`` allows. Without one, the split opens an
+    longer than ``backends.backoff_fits`` allows. Without one, the run opens an
     in-memory cache of its own. Only the misses are sent, ``batch`` at a time:
     one batch is one request plus its retries, each attempt one
     ``backend.translate`` call, so a failed request excludes only sentences
@@ -266,14 +271,15 @@ def project_split(
     """
     started = time.monotonic()
     report = RunReport()
-    outcomes = list(stream_split(split, backend, source_lang, target_lang, report,
-                                 parallelism=parallelism, batch=batch, cache=cache, on_error=on_error))
+    run = stream_run([prepare_split(split)], backend, source_lang, target_lang, report,
+                     parallelism=parallelism, batch=batch, cache=cache, on_error=on_error)
+    outcomes = [outcome for split_outcomes in run for outcome in split_outcomes]
     report.duration_seconds = time.monotonic() - started
     return DatasetSplit(split.name, [o.sentence for o in outcomes if o.projected]), outcomes, report
 
 
-def stream_split(
-    split: DatasetSplit,
+def stream_run(
+    prepared: list[PreparedSplit],
     backend: Backend,
     source_lang: str,
     target_lang: str,
@@ -283,25 +289,23 @@ def stream_split(
     batch: int = 32,
     cache: TranslationCache | None = None,
     on_error: str = POLICY_LENIENT,
-) -> Iterator[ProjectionOutcome]:
-    """Project a split and yield one outcome per source sentence, in source
-    order; the settings and guarantees are :func:`project_split`'s.
+) -> Iterator[Iterator[ProjectionOutcome]]:
+    """Project the splits ``prepared`` as one run, and yield per split, in
+    order, an iterator of one outcome per source sentence, in source order;
+    the settings and guarantees are :func:`project_split`'s.
 
-    Nothing runs until the first outcome is asked for. Then every sentence
-    is masked, every unique text looked up, and every miss sent and stored
-    (a bad setting raises ValueError, and a strict abort raises AbortedRun,
-    before any outcome). Once every sentence is masked, the generator keeps
-    of each only its origin index, its entity labels and its texts, or its
-    exclusion, and no reference to ``split`` or its sentence list: a caller
-    that hands the split over and keeps no reference, as the CLI does, has
-    every parsed ``TaggedSentence``, ``MaskedSentence`` and ``EntitySpan``
-    of it freed before the first request. Each outcome is finished only
-    when it is asked for, and a projected sentence is numbered by its place
-    among the projected ones, so a caller that writes each one out and lets
-    it go never holds the projected split. The tallies are added into
-    ``report``, which may be a whole run's: the cache hits and backend
-    counts before the first outcome, each exclusion's reason as it is
-    yielded, and the split's counts once the last has been yielded.
+    Nothing runs until the first iterator is asked for. Then the run's
+    unique texts are looked up once each, in the order the splits first
+    hold them, and every miss is sent, ``batch`` at a time across split
+    boundaries, and stored (a bad setting raises ValueError, and a strict
+    abort raises AbortedRun, before the first iterator). Each outcome is
+    finished only when it is asked for, and a projected sentence is
+    numbered by its place among its split's projected ones, so a caller
+    that writes each one out and lets it go never holds a projected split.
+    The tallies are added into ``report``: the cache hits (the run's unique
+    texts found in ``cache`` before any request) and the backend counts
+    before the first iterator, each exclusion's reason as it is yielded, and
+    a split's counts once its iterator has yielded its last outcome.
     """
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
@@ -320,14 +324,11 @@ def stream_split(
     elif cache.scope != scope:
         raise ValueError(f"cache scope {cache.scope!r} is not this run's {scope!r}")
 
-    name, total, dropped_empty = split.name, len(split.sentences), split.dropped_empty
-    prepared, unique = _prepare_split(split.sentences)
-    # the split's last reference, when the caller handed it over, as the CLI does
-    del split
-
+    unique = dict.fromkeys(text for split in prepared for _, _, texts in split.records for text in texts)
     misses = [text for text in unique if cache.lookup(text) is None]
     report.counters.cache_hits += len(unique) - len(misses)
     batches = [misses[i:i + batch] for i in range(0, len(misses), batch)]
+    del unique, misses  # the batches hold every miss, and the records every text
     failures: dict[str, str] = {}
     slots = threading.BoundedSemaphore(parallelism)
     stop = threading.Event()
@@ -382,25 +383,25 @@ def stream_split(
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
-    projected = 0
-    for origin, labels, texts in prepared:
-        failed = next((t for t in texts if t in failures), None) if failures else None
-        if isinstance(labels, ProjectionOutcome):
-            outcome = labels
-        elif failed is not None:
-            outcome = ProjectionOutcome(origin, reason=REASON_BACKEND_FAILURE, detail=failures[failed])
-        else:
-            outcome = _finish(origin, labels, [cache[t] for t in texts], projected)
-        if outcome.projected:
-            projected += 1
-        else:
-            report.reasons[outcome.reason] += 1
-        yield outcome
+    def outcomes(split: PreparedSplit) -> Iterator[ProjectionOutcome]:
+        """The split's outcomes, each finished as it is asked for, then its counts."""
+        projected = 0
+        for origin, labels, texts in split.records:
+            failed = next((t for t in texts if t in failures), None) if failures else None
+            if isinstance(labels, ProjectionOutcome):
+                outcome = labels
+            elif failed is not None:
+                outcome = ProjectionOutcome(origin, reason=REASON_BACKEND_FAILURE, detail=failures[failed])
+            else:
+                outcome = _finish(origin, labels, [cache[t] for t in texts], projected)
+            if outcome.projected:
+                projected += 1
+            else:
+                report.reasons[outcome.reason] += 1
+            yield outcome
+        total = len(split.records)
+        report.splits[split.name] = SplitCounts(total=total, projected=projected, excluded=total - projected,
+                                                dropped_empty=split.dropped_empty)
 
-    report.splits[name] = SplitCounts(
-        total=total,
-        projected=projected,
-        excluded=total - projected,
-        dropped_empty=dropped_empty,
-    )
-
+    for split in prepared:
+        yield outcomes(split)

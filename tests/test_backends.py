@@ -699,6 +699,17 @@ def test_token_bucket_burst_within_capacity_is_instant():
     assert time.monotonic() - start < 0.5
 
 
+@pytest.mark.parametrize("rate, capacity", [
+    (5, 0.5), (5, 0), (5, float("nan")), (-1, None), (0, None), (float("nan"), None), (float("inf"), None),
+    (1 / threading.TIMEOUT_MAX / 2, None),
+], ids=["capacity-below-1", "capacity-0", "capacity-nan", "rate-negative", "rate-0", "rate-nan", "rate-inf",
+        "rate-below-1/TIMEOUT_MAX"])
+def test_a_token_bucket_that_could_hang_acquire_is_rejected(rate, capacity):
+    # only built: acquire on any of these would never return, or wait longer than the platform can
+    with pytest.raises(ValueError, match="token bucket needs a finite rate"):
+        TokenBucket(rate=rate, capacity=capacity)
+
+
 # --- http backend -----------------------------------------------------------------
 
 
@@ -722,6 +733,23 @@ def test_http_api_key_from_environment(stub_server, monkeypatch):
     backend = http_backend(stub.url)
     backend.translate(["x"], "en", "fa")
     assert stub.seen_auth == ["Bearer fromenv"]
+
+
+@pytest.mark.parametrize("key", ["sekret\n", "sek\rret", "ключ"], ids=["lf", "cr", "outside-latin-1"])
+@pytest.mark.parametrize("source", ["api_key", "TRANSPROJ_API_KEY"])
+def test_an_api_key_that_cannot_be_a_header_value_is_rejected_without_echoing_it(monkeypatch, key, source):
+    monkeypatch.setenv("TRANSPROJ_API_KEY", key)
+    with pytest.raises(ValueError) as info:
+        HttpBackend("http://127.0.0.1:9/translate", api_key=key if source == "api_key" else None)
+    message = str(info.value)
+    assert message.startswith(f"{source} must hold no CR, LF or character outside Latin-1")
+    assert "sek" not in message and "ret" not in message and key not in message
+
+
+def test_an_api_key_of_latin_1_characters_is_sent(stub_server):
+    stub = stub_server()
+    http_backend(stub.url, api_key="clé\tÿ").translate(["x"], "en", "fa")
+    assert stub.seen_auth == ["Bearer clé\tÿ"]
 
 
 def test_http_no_auth_header_without_key(stub_server, monkeypatch):

@@ -150,25 +150,37 @@ def test_report_names_an_http_backend_without_its_credentials(fixture_paths, tmp
     assert json.loads(text)["config"]["backend"] == backends.HttpBackend(url).backend_id
 
 
+@pytest.mark.parametrize("key", ["sekret\n", "ключ"], ids=["lf", "outside-latin-1"])
+def test_an_api_key_that_cannot_be_a_header_value_is_a_config_error(fixture_paths, tmp_path, monkeypatch,
+                                                                     capsys, key):
+    monkeypatch.setenv("TRANSPROJ_API_KEY", key)
+    code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend="http://127.0.0.1:9/translate"))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "error: TRANSPROJ_API_KEY must hold no CR, LF or character outside Latin-1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_translate_strict_abort_on_dev_leaves_no_outputs(fixture_paths, tmp_path, monkeypatch):
     from transproj.backends import BackendUnavailable, IdentityBackend
 
-    class FailsAfterFirstCall(IdentityBackend):
+    class FailsOnToyota(IdentityBackend):
         calls = 0
 
         def translate(self, texts, source_lang, target_lang):
             self.calls += 1
-            if self.calls > 1:
+            if "Toyota" in texts:  # an entity only dev holds
                 raise BackendUnavailable("wire cut")
             return list(texts)
 
-    backend = FailsAfterFirstCall()
+    backend = FailsOnToyota()
     monkeypatch.setattr(cli, "_make_backend", lambda spec: backend)
     out = tmp_path / "out"
-    # one request per split: train succeeds, dev aborts
-    code = cli.main(translate_args(fixture_paths, out, batch=1000, **{"on-backend-error": "strict"}))
+    # train's 22 texts and dev's first two go in six requests of four, and
+    # the seventh, holding dev's third text "Toyota", aborts
+    code = cli.main(translate_args(fixture_paths, out, batch=4, **{"on-backend-error": "strict"}))
     assert code == 4
-    assert backend.calls == 2
+    assert backend.calls == 7
     assert list(out.iterdir()) == []
 
 
@@ -433,16 +445,16 @@ def test_translate_report_counts_backend_calls_texts_and_cache_hits(tmp_path, ca
         assert code == 0
         return json.loads(read(report_path)), capsys.readouterr().out
 
-    # cold: train sends its template, "John" and "Berlin" in one call; dev
-    # finds "John" in the run's memory and sends only its template
+    # cold: the run's four unique texts, train's template, "John" and
+    # "Berlin" and dev's template, go in one call; "John" is looked up once
     report, out = run("cold")
-    assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (2, 4, 1)
-    assert "backend: 2 calls, 4 texts translated, 1 cache hits" in out
-    # warm: every one of the five texts the two splits reference is a hit
+    assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (1, 4, 0)
+    assert "backend: 1 calls, 4 texts translated, 0 cache hits" in out
+    # warm: every one of the run's four unique texts is a hit
     report, out = run("warm")
-    assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (0, 0, 5)
+    assert (report["backend_calls"], report["texts_translated"], report["cache_hits"]) == (0, 0, 4)
     assert report["cache"] == {"entries_loaded": 4, "corrupt_lines": []}
-    assert "backend: 0 calls, 0 texts translated, 5 cache hits" in out
+    assert "backend: 0 calls, 0 texts translated, 4 cache hits" in out
     # a torn last line that is not UTF-8 is skipped, and the memory still serves the run
     with memory.open("ab") as fh:
         fh.write(b'{"backend_id": "\xff')
@@ -530,10 +542,12 @@ def test_a_cache_another_run_holds_exits_5_and_leaves_an_existing_out_as_it_was(
     (TRANSLATE_IN + ["--backend", "identity", "--report", "out/train.conll.tmp"], "--report"),
     (TRANSLATE_IN + ["--backend", "identity", "--cache", "c.tmp", "--report", "c"], "--report's staging file"),
     (TRANSLATE_IN + ["--backend", "identity", "--cache", "hl.conll"], "--cache"),
+    (["stats", "--train", "s.json.tmp", "--json", "s.json"], "--json's staging file"),
 ], ids=["report-is-an-output", "cache-is-an-input", "cache-is-the-dictionary", "cache-is-the-config",
         "json-is-an-input", "cache-is-an-input-through-a-symlink", "cache-is-an-output",
         "report-is-the-cache", "json-is-a-second-corpus-input", "report-is-an-output-staging-file",
-        "report-staging-file-is-the-cache", "cache-is-an-input-through-a-hard-link"])
+        "report-staging-file-is-the-cache", "cache-is-an-input-through-a-hard-link",
+        "json-staging-file-is-an-input"])
 def test_an_output_that_names_a_file_the_command_reads_or_writes_is_a_config_error(
         fixture_paths, data_dir, tmp_path, monkeypatch, capsys, argv, flag):
     monkeypatch.chdir(tmp_path)
@@ -580,14 +594,13 @@ def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, 
     stub = stub_server()
     backend_id = f"http:{stub.url}"
     batch = 4
-    # each split's unique texts in the order the run first meets them
-    split_texts = {}
+    # the run's unique texts in the order it first meets them
+    unique = []
     for name, path in fixture_paths.items():
-        texts = split_texts[name] = {}
         for s in conll_io.parse_conll(read(path), name).sentences:
             masked = placeholder.mask(s)
-            texts.update(dict.fromkeys([masked.template] + [e.surface for e in masked.entities]))
-    unique = list(dict.fromkeys(t for texts in split_texts.values() for t in texts))
+            unique += [masked.template] + [e.surface for e in masked.entities]
+    unique = list(dict.fromkeys(unique))
     memory, expected = tmp_path / "c.jsonl", tmp_path / "expected.jsonl"
     scope = (backend_id, "en", "fa")
     with backends.TranslationCache(str(memory), scope) as cache:
@@ -595,16 +608,12 @@ def test_translate_over_http_posts_only_what_a_warm_cache_misses(fixture_paths, 
             cache.store(text, text)
     expected.write_bytes(memory.read_bytes())
 
-    # what one request per batch of misses adds: each split's misses in
-    # order, a text met in an earlier split being in the run's memory by then
-    known, posts = set(unique[::2]), 0
+    # what one request per batch of the run's misses adds, the misses in order
+    misses = unique[1::2]
+    posts = -(-len(misses) // batch)
     with backends.TranslationCache(str(expected), scope) as cache:
-        for texts in split_texts.values():
-            misses = [t for t in texts if t not in known]
-            posts += -(-len(misses) // batch)
-            for text in misses:
-                cache.store(text, text)
-            known.update(misses)
+        for text in misses:
+            cache.store(text, text)
 
     report_path = tmp_path / "report.json"
     code = cli.main(translate_args(fixture_paths, tmp_path / "out", backend=f"http:{stub.url}",
@@ -736,13 +745,13 @@ def test_streamed_outputs_equal_the_library_projection(fixture_paths, tmp_path, 
     assert cli.main(translate_args(fixture_paths, out, spec, batch=4, parallel=parallel,
                                    report=tmp_path / "report.json")) == 0
 
-    # the same splits through stream_split, sharing one run memo and one report as the CLI does
+    # the same splits as one stream_run, as the CLI runs them
     backend = cli._make_backend(spec)
-    cache = backends.TranslationCache(None, (backend.backend_id, "en", "fa"))
     expected, records = pipeline.RunReport(), []
-    for name, path in fixture_paths.items():
-        outcomes = list(pipeline.stream_split(parse_conll(read(path), name), backend, "en", "fa", expected,
-                                              batch=4, parallelism=parallel, cache=cache))
+    prepared = [pipeline.prepare_split(parse_conll(read(path), name)) for name, path in fixture_paths.items()]
+    run = pipeline.stream_run(prepared, backend, "en", "fa", expected, batch=4, parallelism=parallel)
+    for name, outcomes in zip(fixture_paths, run):
+        outcomes = list(outcomes)
         records += [{"origin_index": o.origin_index, "split": name, "reason": o.reason, "detail": o.detail}
                     for o in outcomes if not o.projected]
         projected = conll_io.DatasetSplit(name, [o.sentence for o in outcomes if o.projected])
@@ -861,6 +870,23 @@ def test_stats_json_report(fixture_paths, tmp_path):
     assert train["avg_tokens"] == "4.13"
     assert train["avg_tokens_rounded"] == 4
     assert train["labels"] == {"LOC": 4, "MISC": 2, "ORG": 3, "PER": 5}
+
+
+def test_a_stats_json_write_that_fails_partway_leaves_the_previous_file_whole(fixture_paths, tmp_path,
+                                                                             monkeypatch, capsys):
+    json_path = tmp_path / "stats.json"
+    assert cli.main(["stats", "--train", str(fixture_paths["train"]), "--json", str(json_path)]) == 0
+    before = json_path.read_bytes()
+
+    def fails_partway(doc, fh, **kwargs):
+        fh.write('{"corpora": [')
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli.json, "dump", fails_partway)
+    assert cli.main(["stats", "--train", str(fixture_paths["dev"]), "--json", str(json_path)]) == cli.EXIT_IO
+    assert "No space left on device" in capsys.readouterr().err
+    assert json_path.read_bytes() == before
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["stats.json"]
 
 
 def test_stats_compares_two_corpora(tmp_path, capsys):

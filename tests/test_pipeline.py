@@ -462,7 +462,7 @@ def test_projected_split_holds_the_outcomes_sentences_numbered_by_place():
     assert [o.origin_index for o in kept] == [0, 2, 3]
 
 
-def test_a_split_handed_to_stream_split_is_let_go_once_its_sentences_are_masked():
+def test_a_prepared_split_holds_none_of_the_parsed_split():
     def handed_over():
         # projected, excluded before translation (a collision, an I- start) and after it
         return DatasetSplit("train", [
@@ -474,13 +474,13 @@ def test_a_split_handed_to_stream_split_is_let_go_once_its_sentences_are_masked(
     _, expected, expected_report = project_split(handed_over(), backend, "en", "fa")
     split = handed_over()
     parsed = [weakref.ref(sentence) for sentence in split.sentences]
-    report = pipeline.RunReport()
-    outcomes = pipeline.stream_split(split, backend, "en", "fa", report)
+    prepared = pipeline.prepare_split(split)
     del split
-    first = next(outcomes)
     gc.collect()
     assert [ref() for ref in parsed if ref() is not None] == []
-    assert [first, *outcomes] == expected
+    report = pipeline.RunReport()
+    [outcomes] = pipeline.stream_run([prepared], backend, "en", "fa", report)
+    assert list(outcomes) == expected
     assert [o.reason for o in expected] == [None, REASON_PATTERN_COLLISION, REASON_INVALID_SCHEME,
                                             REASON_COUNT_MISMATCH, None]
     assert (report.splits, report.reasons) == (expected_report.splits, expected_report.reasons)
@@ -1137,3 +1137,92 @@ def test_transient_faults_cost_retries_not_sentences(split, data):
         else:
             assert run(strict, parallelism, "strict") == healthy
     assert strict.after_abort == []
+
+
+class ReversesWords(RejectsPoison):
+    """Reverses each text's words, and fails a request holding a text in ``poison`` whole."""
+
+    backend_id = "reverses-words"
+
+    def translate(self, texts, source_lang, target_lang):
+        return [reverse_words(t) for t in super().translate(texts, source_lang, target_lang)]
+
+
+def reverse_words(text):
+    return " ".join(reversed(text.split()))
+
+
+@st.composite
+def small_runs(draw):
+    """One to three splits over the same few words and names, so texts repeat across splits."""
+    return [DatasetSplit(name, draw(small_splits()).sentences)
+            for name in ("train", "dev", "test")[:draw(st.integers(1, 3), label="splits")]]
+
+
+def run_texts(splits):
+    """The run's unique texts, in the order its splits first hold them."""
+    return list(dict.fromkeys(t for split in splits for s in split.sentences for t in masked_texts(s)))
+
+
+def stream_all(splits, backend, cache, **options):
+    """Every split of ``splits`` through one stream_run: the outcomes per split, and the report."""
+    report = pipeline.RunReport()
+    run = pipeline.stream_run([pipeline.prepare_split(split) for split in splits], backend, "en", "fa", report,
+                              cache=cache, **options)
+    return [list(outcomes) for outcomes in run], report
+
+
+@settings(deadline=None)
+@given(small_runs(), st.data())
+def test_a_run_projects_its_splits_as_project_split_does_in_turn_over_one_cache(splits, data):
+    texts = run_texts(splits)
+    cached = data.draw(st.lists(st.sampled_from(texts), unique=True), label="cached")
+    options = {"batch": data.draw(st.integers(1, 5), label="batch"),
+               "parallelism": data.draw(st.sampled_from([1, 3]), label="parallelism")}
+
+    def opened(path):
+        cache = TranslationCache(path, (ReversesWords.backend_id, "en", "fa"))
+        for text in cached:
+            cache.store(text, reverse_words(text))
+        return cache
+
+    with tempfile.TemporaryDirectory() as tmp:
+        in_turn, run = os.path.join(tmp, "in-turn.jsonl"), os.path.join(tmp, "run.jsonl")
+        with opened(in_turn) as cache:
+            expected = [project_split(split, ReversesWords(), "en", "fa", cache=cache, **options)[1]
+                        for split in splits]
+        backend = ReversesWords()
+        with opened(run) as cache:
+            outcomes, report = stream_all(splits, backend, cache, **options)
+        with open(in_turn, "rb") as fh, open(run, "rb") as gh:
+            assert fh.read() == gh.read()
+    assert outcomes == expected
+    misses = [t for t in texts if t not in cached]
+    # each miss is sent once, in batches that fill across split boundaries
+    assert len(backend.calls) == -(-len(misses) // options["batch"])
+    assert sorted(t for call in backend.calls for t in call) == sorted(misses)
+    assert (report.counters.backend_calls, report.counters.texts_translated) == (len(backend.calls), len(misses))
+    assert report.counters.cache_hits == len(cached)
+    assert list(report.splits) == [split.name for split in splits]
+
+
+@settings(deadline=None)
+@given(small_runs(), st.data())
+def test_a_run_excludes_a_sentence_for_a_failed_request_exactly_when_it_held_one_of_its_texts(splits, data):
+    texts = run_texts(splits)
+    poison = data.draw(st.lists(st.sampled_from(texts), unique=True, min_size=1, max_size=2), label="poison")
+    options = {"batch": data.draw(st.integers(1, 5), label="batch"),
+               "parallelism": data.draw(st.sampled_from([1, 3]), label="parallelism")}
+    healthy, _ = stream_all(splits, ReversesWords(), None, **options)
+    backend = ReversesWords(poison)
+    outcomes, report = stream_all(splits, backend, None, **options)
+    failed = {t for call in backend.calls if backend.poison.intersection(call) for t in call}
+    assert len(backend.calls) == -(-len(texts) // options["batch"])
+    for split, split_outcomes, expected in zip(splits, outcomes, healthy):
+        for s, outcome, healthy_outcome in zip(split.sentences, split_outcomes, expected):
+            if failed.intersection(masked_texts(s)):
+                assert (outcome.reason, outcome.detail) == (REASON_BACKEND_FAILURE, "poisoned request")
+            else:
+                assert content(outcome) == content(healthy_outcome)
+    assert report.reasons[REASON_BACKEND_FAILURE] == sum(
+        bool(failed.intersection(masked_texts(s))) for split in splits for s in split.sentences)
